@@ -5,7 +5,7 @@
 //! residue cannot be witnessed, i.e. the price of falling through),
 //! and witness (wrong-key rejection via the replay-confirmed witness:
 //! bit replay at 20/30 qubits, basis-column replay at 20 qubits, and
-//! the sharded out-of-core column at 30 qubits — past the statevector
+//! the sparse basis column at 30 qubits — past the statevector
 //! cap) — and writes `BENCH_qverify.json` with
 //! the median wall-clock per case, so the ZX tier's cost trajectory is
 //! recorded on every run instead of claimed once.
@@ -138,17 +138,16 @@ fn main() {
     }
 
     // witness (basis-column replay): a non-classical residue confirmed
-    // by replaying single basis columns of the miter. At 14/20 qubits
-    // this costs one sharded column; the 30-qubit case sits past the
-    // statevector cap and is only decidable through the out-of-core
-    // sharded column — the headline of the witness-past-28q work.
+    // by replaying single basis columns of the miter. Every width costs
+    // one sparse column; the 30-qubit case sits past the statevector
+    // cap, where nothing but the sparse column can decide it.
     let column_widths: &[u32] = if smoke { &[14] } else { &[20, 30] };
     for &n in column_widths {
         let mut orig = Circuit::new(n);
         orig.t(0).tdg(0).swap(3, 7);
         let bad = Circuit::new(n);
         let label = if n > qverify::MAX_STIMULUS_QUBITS {
-            "sharded"
+            "column"
         } else {
             "basis_replay"
         };

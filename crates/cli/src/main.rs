@@ -469,7 +469,7 @@ Tier selection — the cheapest applicable decision procedure wins:
                  can also certify INEQUIVALENCE, but only through a
                  replay-confirmed witness — a bit-level replay of both
                  circuits (classical pairs, any width), or basis-column
-                 replays of the miter: sharded out-of-core up to
+                 replays of the miter: a sparse basis column up to
                  {column} wires when the miter has <= {branching} branching
                  gates (H-like), dense statevector otherwise
                  (<= {stimulus} qubits). A magnitude deficit is a basis-
@@ -994,8 +994,13 @@ mod tests {
         dir.join(name)
     }
 
-    fn write_demo_circuit() -> PathBuf {
-        let path = tmp("demo.qasm");
+    /// Writes the demo circuit to `demo.qasm` in a directory named after
+    /// the calling test, so tests running in parallel never read a file
+    /// another test is rewriting.
+    fn write_demo_circuit(test: &str) -> PathBuf {
+        let dir = tmp(test);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("demo.qasm");
         let mut c = Circuit::with_name(4, "demo");
         c.h(0).cx(0, 1).cx(1, 2).cx(0, 1).x(3).cx(3, 2);
         io::write_circuit(&path, &c).unwrap();
@@ -1030,7 +1035,7 @@ mod tests {
             "--seed",
             "stimulus",
             "relative-phase",
-            "sharded out-of-core",
+            "sparse basis column",
             &qverify::MAX_COLUMN_QUBITS.to_string(),
         ] {
             assert!(
@@ -1042,13 +1047,13 @@ mod tests {
 
     #[test]
     fn inspect_demo() {
-        let path = write_demo_circuit();
+        let path = write_demo_circuit("inspect_demo");
         assert!(run(&s(&["inspect", path.to_str().unwrap()])).is_ok());
     }
 
     #[test]
     fn protect_recombine_verify_roundtrip() {
-        let input = write_demo_circuit();
+        let input = write_demo_circuit("protect_recombine_verify_roundtrip");
         let left = tmp("left.qasm");
         let right = tmp("right.qasm");
         let meta = tmp("demo.tlk");
@@ -1094,7 +1099,7 @@ mod tests {
     #[test]
     fn protect_compile_recombine_roundtrip() {
         // The full shell workflow including the untrusted-compiler step.
-        let input = write_demo_circuit();
+        let input = write_demo_circuit("protect_compile_recombine_roundtrip");
         let left = tmp("cl.qasm");
         let right = tmp("cr.qasm");
         let meta = tmp("c.tlk");
@@ -1142,7 +1147,7 @@ mod tests {
 
     #[test]
     fn multiway_protect_recombine_roundtrip() {
-        let input = write_demo_circuit();
+        let input = write_demo_circuit("multiway_protect_recombine_roundtrip");
         let meta = tmp("mw.tlk");
         let prefix = tmp("mwseg").to_str().unwrap().to_string();
         let restored = tmp("mwrestored.qasm");
@@ -1180,7 +1185,7 @@ mod tests {
 
     #[test]
     fn recombine_rejects_wrong_segment_count() {
-        let input = write_demo_circuit();
+        let input = write_demo_circuit("recombine_rejects_wrong_segment_count");
         let left = tmp("wl.qasm");
         let right = tmp("wr.qasm");
         let meta = tmp("w.tlk");
@@ -1229,7 +1234,7 @@ mod tests {
 
     #[test]
     fn compile_produces_device_circuit() {
-        let input = write_demo_circuit();
+        let input = write_demo_circuit("compile_produces_device_circuit");
         let out = tmp("compiled.qasm");
         run(&s(&[
             "compile",
@@ -1265,7 +1270,7 @@ mod tests {
 
     #[test]
     fn batch_runs_files_and_resumes() {
-        let input = write_demo_circuit();
+        let input = write_demo_circuit("batch_runs_files_and_resumes");
         let out_dir = tmp("batch_out");
         run(&s(&[
             "batch",
@@ -1379,7 +1384,7 @@ mod tests {
 
     #[test]
     fn missing_options_reported() {
-        let input = write_demo_circuit();
+        let input = write_demo_circuit("missing_options_reported");
         let err = run(&s(&["protect", input.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("meta"));
     }

@@ -384,15 +384,9 @@ pub(crate) fn render_manifest<'a>(
     text
 }
 
-/// Atomically (tmp + rename) replaces the manifest file with `text`.
-pub(crate) fn write_manifest_text(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = persist::tmp_path(path);
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Writes the deterministic batch manifest: one tab-separated line per
-/// job, sorted by id, plus a fixed header. Atomic (tmp + rename).
+/// job, sorted by id, plus a fixed header. Atomic and durable
+/// ([`persist::write_atomic`]).
 fn write_manifest(path: &Path, outcomes: &[JobOutcome]) -> std::io::Result<()> {
     let rows: Vec<(&str, (String, String, String))> = outcomes
         .iter()
@@ -402,7 +396,7 @@ fn write_manifest(path: &Path, outcomes: &[JobOutcome]) -> std::io::Result<()> {
         rows.iter()
             .map(|(id, (s, t, o))| (*id, s.as_str(), t.as_str(), o.as_str())),
     );
-    write_manifest_text(path, &text)
+    persist::write_atomic(path, text.as_bytes())
 }
 
 #[cfg(test)]

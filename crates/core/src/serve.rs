@@ -281,17 +281,6 @@ pub fn parse_intake_name(file_name: &str) -> Option<(u32, String)> {
     Some((priority, id.to_string()))
 }
 
-/// FNV-1a 64-bit hash — derives the per-job jitter seed from the job
-/// id, so retry schedules are a pure function of `(id, config)`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// A queued, admitted job. Ordering is min-priority-first with FIFO
 /// admission-order tiebreak (via the monotone `seq`).
 struct Queued {
@@ -693,7 +682,9 @@ fn run_serve_job(config: &ServeConfig, shared: &Shared, manifest_path: &Path, jo
         None => return, // terminal at admission (mismatch quarantine / already done)
     };
     let mut breaker = CircuitBreaker::new(config.retry.max_strikes);
-    let jitter_seed = fnv1a64(job.id.as_bytes()) ^ config.job.seed;
+    // Hashing the id makes retry schedules a pure function of
+    // `(id, config)`.
+    let jitter_seed = persist::fnv1a64(job.id.as_bytes()) ^ config.job.seed;
     let mut attempts: Vec<AttemptRecord> = Vec::new();
 
     loop {
@@ -1054,7 +1045,7 @@ fn write_manifest_from(shared: &Shared, manifest_path: &Path) {
             .map(|(id, (s, t, o))| (id.as_str(), s.as_str(), t.as_str(), o.as_str())),
     );
     drop(rows);
-    let _ = batch::write_manifest_text(manifest_path, &text);
+    let _ = persist::write_atomic(manifest_path, text.as_bytes());
 }
 
 /// Parses an existing manifest back into the row map (serve restarts
@@ -1110,9 +1101,7 @@ fn write_status(config: &ServeConfig, shared: &Shared, status_path: &Path, drain
     obj.field_bool("draining", draining);
     let line = obj.finish();
 
-    let tmp = persist::tmp_path(status_path);
-    let _ =
-        std::fs::write(&tmp, format!("{line}\n")).and_then(|()| std::fs::rename(&tmp, status_path));
+    let _ = persist::write_atomic(status_path, format!("{line}\n").as_bytes());
 
     qobs::event(
         "serve.heartbeat",
@@ -1217,7 +1206,7 @@ mod tests {
             rows.iter()
                 .map(|(id, (s, t, o))| (id.as_str(), s.as_str(), t.as_str(), o.as_str())),
         );
-        batch::write_manifest_text(&path, &text).unwrap();
+        persist::write_atomic(&path, text.as_bytes()).unwrap();
         assert_eq!(load_manifest_rows(&path), rows);
     }
 

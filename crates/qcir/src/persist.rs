@@ -29,10 +29,11 @@
 //!
 //! # Atomicity
 //!
-//! [`save`] writes to a `.tmp` sibling, calls `sync_all`, then renames
-//! over the destination — on POSIX filesystems the destination is
-//! always either the complete old file or the complete new file, never
-//! a mixture.
+//! [`save`] goes through [`write_atomic`]: it writes a `.tmp` sibling,
+//! calls `sync_all`, renames over the destination, then syncs the parent
+//! directory — on POSIX filesystems the destination is always either the
+//! complete old file or the complete new file, never a mixture, and the
+//! rename survives a power loss as well as a process kill.
 //!
 //! # Example
 //!
@@ -153,7 +154,9 @@ impl From<DecodeError> for PersistError {
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, and plenty for torn-write
 /// detection (this is an integrity check, not a cryptographic seal).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// Also a stable seed derivation: the same bytes hash to the same value
+/// on every platform and in every release.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -242,30 +245,41 @@ pub fn from_envelope<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, Pe
     Ok(serde::from_bytes(payload)?)
 }
 
-/// Atomically writes `value` to `path`.
-///
-/// The envelope is written to `<path>.tmp`, synced, then renamed over
-/// `path`, so a crash at any instant leaves `path` either absent, the
-/// previous complete file, or the new complete file.
+/// Atomically writes `value` to `path` through [`write_atomic`].
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] if any filesystem step fails.
 pub fn save<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), PersistError> {
-    let bytes = to_envelope(value);
-    let tmp = tmp_path(path);
-    let io_err = |source| PersistError::Io {
-        path: tmp.clone(),
-        source,
-    };
-    let mut file = fs::File::create(&tmp).map_err(io_err)?;
-    file.write_all(&bytes).map_err(io_err)?;
-    file.sync_all().map_err(io_err)?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|source| PersistError::Io {
+    write_atomic(path, &to_envelope(value)).map_err(|source| PersistError::Io {
         path: path.to_path_buf(),
         source,
     })
+}
+
+/// Durably replaces `path` with `bytes`.
+///
+/// The bytes are written to `<path>.tmp` ([`tmp_path`]) and synced, the
+/// tmp file is renamed over `path`, and the parent directory is synced
+/// so the rename itself reaches the disk. A crash or power loss at any
+/// instant leaves `path` either absent, the previous complete file, or
+/// the new complete file.
+///
+/// # Errors
+///
+/// The error of the first filesystem step that fails.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = tmp_path(path);
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
 }
 
 /// Reads and decodes a `T` from `path`.
@@ -282,7 +296,7 @@ pub fn load<T: for<'de> Deserialize<'de>>(path: &Path) -> Result<T, PersistError
     from_envelope(&bytes)
 }
 
-/// The sibling temp-file path `save` stages its write through.
+/// The sibling temp-file path [`write_atomic`] stages its write through.
 pub fn tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".tmp");
@@ -292,7 +306,7 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// Removes orphaned `*.tmp` staging files from `dir` and returns the
 /// paths it deleted.
 ///
-/// A `.tmp` sibling only exists between [`save`]'s write and its
+/// A `.tmp` sibling only exists between [`write_atomic`]'s write and its
 /// rename; one that outlives its writer is debris from a crashed
 /// process. The `min_age` gate (measured against the file's mtime)
 /// protects staging files a *concurrent* writer is producing right

@@ -1,4 +1,4 @@
-//! Out-of-core single-column simulation for witness replay.
+//! Sparse single-column simulation for witness replay.
 //!
 //! The witness layer of the verifier needs one number from a miter
 //! `C₂†·C₁`: the amplitude `⟨x|M|x⟩` for a candidate basis input `x`.
@@ -9,87 +9,54 @@
 //! the single amplitude around, diagonal gates (Z/S/T/Rz/P and their
 //! controlled forms) only rotate its phase, and each branching gate
 //! (H/Sx/Rx/Ry/U, …) at most doubles the number of non-zero amplitudes.
-//! A wrong-key miter built from reversible logic plus a bounded number
-//! of branching gates therefore fits in a handful of sparse blocks even
-//! at 60 qubits.
 //!
-//! [`ShardedColumn`] exploits that: the column is a sparse map from
-//! *shard id* (the basis index's high bits) to a fixed-size block of
-//! amplitudes (`2^shard_qubits`, default [`crate::exec::BLOCK_QUBITS`]
-//! ⇒ 512 KiB per shard — the same cache-sweep block discipline the
-//! dense engine uses). Absent shards are exactly zero. A bounded number
-//! of shards stay resident; excess shards spill to a temporary
-//! directory in LRU order and stream back on demand, so memory stays
-//! bounded no matter the register width. A hard budget
-//! ([`ColumnConfig::max_shards`]) turns "this miter branches too much"
-//! into a typed error ([`SimError::ShardBudgetExceeded`]) instead of an
-//! OOM — the caller treats that as "replay infeasible" and falls
-//! through, which keeps the witness contract sound.
+//! [`SparseColumn`] exploits that: the column is a map from basis index
+//! to amplitude that holds only the non-zero entries. Whether a gate
+//! branches is decided by [`qcir::fusion::gate_kernel_class`] — the
+//! [`KernelClass::General`] class is the only one that can grow the
+//! support. The column owns its branching budget: it applies at most
+//! [`MAX_COLUMN_BRANCHING`] branching ops over its lifetime, so its
+//! support never exceeds `2^MAX_COLUMN_BRANCHING` amplitudes at any
+//! width. A circuit that would overrun the budget is refused up front
+//! with [`SimError::ColumnTooBranchy`], leaving the column unchanged.
 //!
 //! The width cap is [`MAX_COLUMN_QUBITS`] = 63: the only hard limit is
-//! `u64` basis-index addressability, *not* memory — feasibility is
-//! support-dependent, enforced by the shard budget.
+//! `u64` basis-index addressability, *not* memory.
 //!
 //! # Example
 //!
 //! ```
 //! use qcir::Circuit;
-//! use qsim::column::{basis_column_amplitude, ColumnConfig};
+//! use qsim::column::basis_column_amplitude;
 //!
 //! // A 40-qubit permutation miter: dense simulation is hopeless, the
-//! // sharded column never leaves one shard.
+//! // sparse column holds one amplitude throughout.
 //! let mut m = Circuit::new(40);
 //! m.x(35).cx(35, 7).x(35);
-//! let amp = basis_column_amplitude(&m, 0, ColumnConfig::default())?;
+//! let amp = basis_column_amplitude(&m, 0)?;
 //! assert!(amp.abs() < 1e-12); // |0…0⟩ maps elsewhere: diagonal entry 0
 //! # Ok::<(), qsim::SimError>(())
 //! ```
 
 use crate::complex::C64;
 use crate::error::SimError;
-use crate::exec::BLOCK_QUBITS;
 use crate::matrix::gate_matrix;
+use qcir::fusion::{gate_kernel_class, KernelClass};
 use qcir::{Circuit, Gate, Instruction};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 
 static COLUMN_OPS: qobs::Counter = qobs::Counter::new("qsim.column.ops");
-static COLUMN_SPILLS: qobs::Counter = qobs::Counter::new("qsim.column.spills");
 
-/// Hard width cap for sharded columns: `u64` basis indices address at
-/// most 63 qubit registers without ambiguity against the budget
-/// sentinel arithmetic. Feasibility below the cap is governed by
-/// [`ColumnConfig::max_shards`], not width.
+/// Hard width cap for sparse columns: `u64` basis indices address at
+/// most 63 qubit registers without ambiguity. Feasibility below the cap
+/// is governed by [`MAX_COLUMN_BRANCHING`], not width.
 pub const MAX_COLUMN_QUBITS: u32 = 63;
 
-/// Memory/disk envelope for a [`ShardedColumn`].
-#[derive(Debug, Clone)]
-pub struct ColumnConfig {
-    /// Qubits per shard: each shard holds `2^shard_qubits` amplitudes.
-    /// Clamped to the register width (and to 30 as an allocation guard).
-    pub shard_qubits: u32,
-    /// Shards kept in memory before LRU spilling kicks in (≥ 1; the
-    /// shards an in-flight gate touches are pinned and may briefly
-    /// exceed this by one).
-    pub resident_shards: usize,
-    /// Hard budget on *live* shards (resident + spilled). Exceeding it
-    /// returns [`SimError::ShardBudgetExceeded`] instead of allocating.
-    pub max_shards: usize,
-}
-
-impl Default for ColumnConfig {
-    /// 512 KiB shards ([`BLOCK_QUBITS`]), 64 resident (≤ 32 MiB in
-    /// memory), 4096 live (≤ 2 GiB spilled worst case).
-    fn default() -> Self {
-        ColumnConfig {
-            shard_qubits: BLOCK_QUBITS,
-            resident_shards: 64,
-            max_shards: 4096,
-        }
-    }
-}
+/// Most *branching* ops (H/CH/√X/Rx/Ry/U — the [`KernelClass::General`]
+/// gates that split one basis amplitude into two) a [`SparseColumn`]
+/// applies over its lifetime. Each at most doubles the support, so
+/// `2^MAX_COLUMN_BRANCHING` bounds the live amplitudes.
+pub const MAX_COLUMN_BRANCHING: u32 = 10;
 
 /// The 2×2 action class of a lowered gate on its target qubit.
 enum Kind {
@@ -112,24 +79,25 @@ struct Op {
 
 fn classify(gate: &Gate) -> Kind {
     let m = gate_matrix(gate);
-    debug_assert_eq!(m.dim(), 2, "classify is for single-qubit gates");
     let (a, b) = (m.get(0, 0), m.get(0, 1));
     let (c, d) = (m.get(1, 0), m.get(1, 1));
-    if b == C64::ZERO && c == C64::ZERO {
-        Kind::Diag([a, d])
-    } else if a == C64::ZERO && d == C64::ZERO {
-        Kind::Anti([b, c])
-    } else {
-        Kind::Dense([[a, b], [c, d]])
+    match gate_kernel_class(gate).expect("column ops lower to single-qubit gates") {
+        KernelClass::Diagonal => Kind::Diag([a, d]),
+        KernelClass::Antidiagonal => Kind::Anti([b, c]),
+        KernelClass::General => Kind::Dense([[a, b], [c, d]]),
+    }
+}
+
+fn controlled(ctrl: u64, target: u32, gate: &Gate) -> Op {
+    Op {
+        ctrl,
+        target,
+        kind: classify(gate),
     }
 }
 
 fn cx_op(control: u32, target: u32) -> Op {
-    Op {
-        ctrl: 1u64 << control,
-        target,
-        kind: Kind::Anti([C64::ONE, C64::ONE]),
-    }
+    controlled(1u64 << control, target, &Gate::X)
 }
 
 /// Lowers one instruction to a sequence of [`Op`]s. Multi-target gates
@@ -143,84 +111,38 @@ fn lower(inst: &Instruction) -> Vec<Op> {
         // Fredkin(c; a,b) = CX(b,a)·CCX(c,a,b)·CX(b,a).
         Gate::CSwap => vec![
             cx_op(q(2), q(1)),
-            Op {
-                ctrl: (1u64 << q(0)) | (1u64 << q(1)),
-                target: q(2),
-                kind: Kind::Anti([C64::ONE, C64::ONE]),
-            },
+            controlled((1u64 << q(0)) | (1u64 << q(1)), q(2), &Gate::X),
             cx_op(q(2), q(1)),
         ],
-        Gate::CCX => vec![Op {
-            ctrl: (1u64 << q(0)) | (1u64 << q(1)),
-            target: q(2),
-            kind: Kind::Anti([C64::ONE, C64::ONE]),
-        }],
-        Gate::Mcx(_) => {
+        Gate::CCX | Gate::Mcx(_) => {
             let qs = inst.qubits();
             let (controls, target) = qs.split_at(qs.len() - 1);
             let ctrl = controls
                 .iter()
                 .fold(0u64, |m, qubit| m | (1u64 << qubit.index()));
-            vec![Op {
-                ctrl,
-                target: target[0].index() as u32,
-                kind: Kind::Anti([C64::ONE, C64::ONE]),
-            }]
+            vec![controlled(ctrl, target[0].index() as u32, &Gate::X)]
         }
         Gate::CX => vec![cx_op(q(0), q(1))],
-        Gate::CY => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::Y),
-        }],
-        Gate::CZ => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::Z),
-        }],
-        Gate::CH => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::H),
-        }],
-        Gate::CP(a) => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::P(*a)),
-        }],
-        Gate::CRz(a) => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::Rz(*a)),
-        }],
-        single => vec![Op {
-            ctrl: 0,
-            target: q(0),
-            kind: classify(single),
-        }],
+        Gate::CY => vec![controlled(1u64 << q(0), q(1), &Gate::Y)],
+        Gate::CZ => vec![controlled(1u64 << q(0), q(1), &Gate::Z)],
+        Gate::CH => vec![controlled(1u64 << q(0), q(1), &Gate::H)],
+        Gate::CP(a) => vec![controlled(1u64 << q(0), q(1), &Gate::P(*a))],
+        Gate::CRz(a) => vec![controlled(1u64 << q(0), q(1), &Gate::Rz(*a))],
+        single => vec![controlled(0, q(0), single)],
     }
 }
 
-/// A sparse, spillable column `M|x⟩` over up to [`MAX_COLUMN_QUBITS`]
-/// qubits. See the module docs for the shard model.
-pub struct ShardedColumn {
+/// A sparse column `M|x⟩` over up to [`MAX_COLUMN_QUBITS`] qubits: the
+/// non-zero amplitudes keyed by basis index. See the module docs.
+#[derive(Debug)]
+pub struct SparseColumn {
     num_qubits: u32,
-    shard_qubits: u32,
-    resident_cap: usize,
-    max_shards: usize,
-    resident: BTreeMap<u64, Vec<C64>>,
-    spilled: BTreeSet<u64>,
-    /// LRU candidates, oldest first. May hold stale ids (already
-    /// spilled or pruned); the eviction scan skips those lazily.
-    lru: VecDeque<u64>,
-    spill_dir: Option<PathBuf>,
-    spill_count: u64,
-    peak_shards: usize,
+    amps: BTreeMap<u64, C64>,
+    branching: u32,
 }
 
-impl ShardedColumn {
-    /// Starts the column at basis state `|index⟩` with the default
-    /// [`ColumnConfig`].
+impl SparseColumn {
+    /// Starts the column at basis state `|index⟩`.
     ///
     /// # Errors
     ///
@@ -228,19 +150,6 @@ impl ShardedColumn {
     /// [`SimError::InvalidState`] if `index` does not name a basis
     /// state of the register.
     pub fn basis(num_qubits: u32, index: u64) -> Result<Self, SimError> {
-        Self::with_config(num_qubits, index, ColumnConfig::default())
-    }
-
-    /// Starts the column at `|index⟩` with an explicit envelope.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedColumn::basis`].
-    pub fn with_config(
-        num_qubits: u32,
-        index: u64,
-        config: ColumnConfig,
-    ) -> Result<Self, SimError> {
         if num_qubits > MAX_COLUMN_QUBITS {
             return Err(SimError::TooManyQubits {
                 requested: num_qubits,
@@ -248,50 +157,11 @@ impl ShardedColumn {
             });
         }
         check_index(num_qubits, index)?;
-        let shard_qubits = config.shard_qubits.min(num_qubits).min(30);
-        let mut column = ShardedColumn {
+        Ok(SparseColumn {
             num_qubits,
-            shard_qubits,
-            resident_cap: config.resident_shards.max(1),
-            max_shards: config.max_shards.max(1),
-            resident: BTreeMap::new(),
-            spilled: BTreeSet::new(),
-            lru: VecDeque::new(),
-            spill_dir: None,
-            spill_count: 0,
-            peak_shards: 1,
-        };
-        let id = index >> shard_qubits;
-        let mut amps = vec![C64::ZERO; column.shard_len()];
-        amps[(index & column.lo_mask()) as usize] = C64::ONE;
-        column.resident.insert(id, amps);
-        column.lru.push_back(id);
-        Ok(column)
-    }
-
-    /// Register width in qubits.
-    pub fn num_qubits(&self) -> u32 {
-        self.num_qubits
-    }
-
-    /// Effective qubits per shard (clamped to the register width).
-    pub fn shard_qubits(&self) -> u32 {
-        self.shard_qubits
-    }
-
-    /// Live shards right now (resident + spilled).
-    pub fn live_shards(&self) -> usize {
-        self.resident.len() + self.spilled.len()
-    }
-
-    /// High-water mark of live shards over the column's lifetime.
-    pub fn peak_shards(&self) -> usize {
-        self.peak_shards
-    }
-
-    /// Number of shard spills to disk so far.
-    pub fn spill_count(&self) -> u64 {
-        self.spill_count
+            amps: BTreeMap::from([(index, C64::ONE)]),
+            branching: 0,
+        })
     }
 
     /// Applies a circuit gate by gate.
@@ -299,10 +169,9 @@ impl ShardedColumn {
     /// # Errors
     ///
     /// [`SimError::QubitMismatch`] if the circuit is wider than the
-    /// column; [`SimError::ShardBudgetExceeded`] when branching gates
-    /// push the live shard count over [`ColumnConfig::max_shards`];
-    /// [`SimError::InvalidState`] on spill I/O failure. After an error
-    /// the column contents are unspecified — discard it.
+    /// column; [`SimError::ColumnTooBranchy`] if its branching ops would
+    /// take the column past [`MAX_COLUMN_BRANCHING`]. Both are checked
+    /// before any gate runs, so on error the column is unchanged.
     pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<(), SimError> {
         if circuit.num_qubits() > self.num_qubits {
             return Err(SimError::QubitMismatch {
@@ -310,324 +179,69 @@ impl ShardedColumn {
                 state: self.num_qubits,
             });
         }
-        for inst in circuit.iter() {
-            for op in lower(inst) {
-                self.apply_op(&op)?;
-                COLUMN_OPS.incr();
-            }
+        let ops: Vec<Op> = circuit.iter().flat_map(lower).collect();
+        let added = ops
+            .iter()
+            .filter(|op| matches!(op.kind, Kind::Dense(_)))
+            .count();
+        let branching =
+            u32::try_from(added).map_or(u32::MAX, |added| added.saturating_add(self.branching));
+        if branching > MAX_COLUMN_BRANCHING {
+            return Err(SimError::ColumnTooBranchy {
+                branching,
+                max: MAX_COLUMN_BRANCHING,
+            });
+        }
+        self.branching = branching;
+        for op in &ops {
+            self.apply_op(op);
+            COLUMN_OPS.incr();
         }
         Ok(())
     }
 
-    /// The amplitude at basis index `index` (exactly zero for indices
-    /// outside the live support).
+    /// The amplitude at basis index `index` (exactly zero outside the
+    /// support).
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidState`] if `index` is outside the register or
-    /// a spilled shard fails to stream back.
-    pub fn amplitude(&mut self, index: u64) -> Result<C64, SimError> {
+    /// [`SimError::InvalidState`] if `index` is outside the register.
+    pub fn amplitude(&self, index: u64) -> Result<C64, SimError> {
         check_index(self.num_qubits, index)?;
-        let id = index >> self.shard_qubits;
-        let offset = (index & self.lo_mask()) as usize;
-        if !self.resident.contains_key(&id) && !self.spilled.contains(&id) {
-            return Ok(C64::ZERO);
-        }
-        self.make_resident(id, &[id])?;
-        Ok(self.resident[&id][offset])
+        Ok(self.amps.get(&index).copied().unwrap_or(C64::ZERO))
     }
 
-    fn shard_len(&self) -> usize {
-        1usize << self.shard_qubits
-    }
-
-    fn lo_mask(&self) -> u64 {
-        (1u64 << self.shard_qubits) - 1
-    }
-
-    fn apply_op(&mut self, op: &Op) -> Result<(), SimError> {
-        let k = self.shard_qubits;
-        let ctrl_lo = (op.ctrl & self.lo_mask()) as usize;
-        let ctrl_hi = op.ctrl >> k;
-        if op.target < k {
-            // Local target: every matching shard transforms in place.
-            let ids: Vec<u64> = self.live_ids(ctrl_hi);
-            for id in ids {
-                self.make_resident(id, &[id])?;
-                let shard_len = self.shard_len();
-                let amps = self.resident.get_mut(&id).expect("just made resident");
-                apply_local(amps, shard_len, op, ctrl_lo);
-            }
-            Ok(())
-        } else {
-            // High target: the target bit lives in the shard id.
-            let tb = 1u64 << (op.target - k);
-            match &op.kind {
-                Kind::Diag(d) => {
-                    let ids: Vec<u64> = self.live_ids(ctrl_hi);
-                    for id in ids {
-                        let factor = d[((id & tb) != 0) as usize];
-                        self.make_resident(id, &[id])?;
-                        let amps = self.resident.get_mut(&id).expect("just made resident");
-                        for (j, amp) in amps.iter_mut().enumerate() {
-                            if j & ctrl_lo == ctrl_lo {
-                                *amp *= factor;
-                            }
-                        }
-                    }
-                    Ok(())
-                }
-                Kind::Anti(_) | Kind::Dense(_) => {
-                    // The control mask never contains the target, so
-                    // both members of a shard pair agree on ctrl_hi.
-                    let bases: BTreeSet<u64> = self
-                        .live_ids(ctrl_hi)
-                        .into_iter()
-                        .map(|id| id & !tb)
-                        .collect();
-                    for base in bases {
-                        self.transform_shard_pair(base, base | tb, op, ctrl_lo)?;
-                    }
-                    Ok(())
+    fn apply_op(&mut self, op: &Op) {
+        let bit = 1u64 << op.target;
+        if let Kind::Diag(d) = &op.kind {
+            for (&index, amp) in &mut self.amps {
+                if index & op.ctrl == op.ctrl {
+                    *amp *= d[(index & bit != 0) as usize];
                 }
             }
-        }
-    }
-
-    /// Live shard ids whose high index bits satisfy `ctrl_hi`.
-    fn live_ids(&self, ctrl_hi: u64) -> Vec<u64> {
-        self.resident
-            .keys()
-            .chain(self.spilled.iter())
-            .copied()
-            .filter(|id| id & ctrl_hi == ctrl_hi)
-            .collect()
-    }
-
-    /// Pairs shards `lo`/`hi` across the target bit, transforms the
-    /// controlled entries, and prunes any shard the op zeroed out.
-    fn transform_shard_pair(
-        &mut self,
-        lo: u64,
-        hi: u64,
-        op: &Op,
-        ctrl_lo: usize,
-    ) -> Result<(), SimError> {
-        self.ensure_shard(lo, &[lo, hi])?;
-        self.ensure_shard(hi, &[lo, hi])?;
-        // Take both shards out of the map — the transform needs two
-        // mutable views at once.
-        let mut a0 = self.resident.remove(&lo).expect("pinned resident");
-        let mut a1 = self.resident.remove(&hi).expect("pinned resident");
-        for j in 0..self.shard_len() {
-            if j & ctrl_lo != ctrl_lo {
-                continue;
-            }
-            let (x, y) = (a0[j], a1[j]);
-            match &op.kind {
-                Kind::Anti(a) => {
-                    a0[j] = a[0] * y;
-                    a1[j] = a[1] * x;
-                }
-                Kind::Dense(m) => {
-                    a0[j] = m[0][0] * x + m[0][1] * y;
-                    a1[j] = m[1][0] * x + m[1][1] * y;
-                }
-                Kind::Diag(_) => unreachable!("diagonal ops never pair shards"),
-            }
-        }
-        self.put_back(lo, a0);
-        self.put_back(hi, a1);
-        Ok(())
-    }
-
-    /// Reinserts a transformed shard, pruning it if the op moved all
-    /// its weight away (keeps X-ladders and interference from leaking
-    /// zero shards into the budget).
-    fn put_back(&mut self, id: u64, amps: Vec<C64>) {
-        if amps.iter().all(|&a| a == C64::ZERO) {
-            // Stale lru entry is skipped lazily by the eviction scan.
             return;
         }
-        self.resident.insert(id, amps);
-    }
-
-    /// Makes shard `id` resident, creating it as all-zeros if it does
-    /// not exist yet (budget-checked).
-    fn ensure_shard(&mut self, id: u64, pinned: &[u64]) -> Result<(), SimError> {
-        if self.resident.contains_key(&id) || self.spilled.contains(&id) {
-            return self.make_resident(id, pinned);
-        }
-        let live = self.live_shards();
-        if live + 1 > self.max_shards {
-            return Err(SimError::ShardBudgetExceeded {
-                shards: live + 1,
-                max: self.max_shards,
-            });
-        }
-        self.peak_shards = self.peak_shards.max(live + 1);
-        let len = self.shard_len();
-        self.resident.insert(id, vec![C64::ZERO; len]);
-        self.lru.push_back(id);
-        self.evict_over(pinned)
-    }
-
-    /// Makes an *existing* shard resident, streaming it back from the
-    /// spill directory if needed.
-    fn make_resident(&mut self, id: u64, pinned: &[u64]) -> Result<(), SimError> {
-        if self.resident.contains_key(&id) {
-            self.touch(id);
-            return Ok(());
-        }
-        debug_assert!(self.spilled.contains(&id), "shard {id} is not live");
-        self.spilled.remove(&id);
-        let amps = self.read_shard(id)?;
-        self.resident.insert(id, amps);
-        self.lru.push_back(id);
-        self.evict_over(pinned)
-    }
-
-    /// Moves `id` to the most-recently-used position.
-    fn touch(&mut self, id: u64) {
-        if let Some(pos) = self.lru.iter().position(|&x| x == id) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(id);
-    }
-
-    /// Spills least-recently-used resident shards (never the pinned
-    /// ones) until the resident count fits the cap.
-    fn evict_over(&mut self, pinned: &[u64]) -> Result<(), SimError> {
-        while self.resident.len() > self.resident_cap {
-            let mut victim = None;
-            let mut scan = 0;
-            while scan < self.lru.len() {
-                let id = self.lru[scan];
-                if !self.resident.contains_key(&id) {
-                    // Stale entry (already spilled or pruned): drop it.
-                    self.lru.remove(scan);
-                    continue;
-                }
-                if pinned.contains(&id) {
-                    scan += 1;
-                    continue;
-                }
-                victim = Some((scan, id));
-                break;
-            }
-            let Some((pos, id)) = victim else {
-                // Everything resident is pinned: tolerate the overage.
-                return Ok(());
+        // The control mask never contains the target, so both members
+        // of a pair agree on the controls.
+        let mut bases: Vec<u64> = self
+            .amps
+            .keys()
+            .filter(|&&index| index & op.ctrl == op.ctrl)
+            .map(|&index| index & !bit)
+            .collect();
+        bases.sort_unstable();
+        bases.dedup();
+        for base in bases {
+            let x = self.amps.remove(&base).unwrap_or(C64::ZERO);
+            let y = self.amps.remove(&(base | bit)).unwrap_or(C64::ZERO);
+            let (x, y) = match &op.kind {
+                Kind::Anti(a) => (a[0] * y, a[1] * x),
+                Kind::Dense(m) => (m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y),
+                Kind::Diag(_) => unreachable!("diagonal ops return above"),
             };
-            self.lru.remove(pos);
-            let amps = self.resident.remove(&id).expect("victim is resident");
-            self.write_shard(id, &amps)?;
-            self.spilled.insert(id);
-            self.spill_count += 1;
-            COLUMN_SPILLS.incr();
-        }
-        Ok(())
-    }
-
-    fn spill_dir(&mut self) -> Result<PathBuf, SimError> {
-        if self.spill_dir.is_none() {
-            static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "qsim-column-{}-{}",
-                std::process::id(),
-                SPILL_SEQ.fetch_add(1, Ordering::Relaxed),
-            ));
-            fs::create_dir_all(&dir).map_err(spill_io)?;
-            self.spill_dir = Some(dir);
-        }
-        Ok(self.spill_dir.clone().expect("just created"))
-    }
-
-    fn shard_path(&mut self, id: u64) -> Result<PathBuf, SimError> {
-        Ok(self.spill_dir()?.join(format!("shard-{id:016x}.amps")))
-    }
-
-    /// Raw little-endian `f64` (re, im) pairs.
-    fn write_shard(&mut self, id: u64, amps: &[C64]) -> Result<(), SimError> {
-        let mut bytes = Vec::with_capacity(amps.len() * 16);
-        for amp in amps {
-            bytes.extend_from_slice(&amp.re.to_le_bytes());
-            bytes.extend_from_slice(&amp.im.to_le_bytes());
-        }
-        let path = self.shard_path(id)?;
-        fs::write(path, bytes).map_err(spill_io)
-    }
-
-    fn read_shard(&mut self, id: u64) -> Result<Vec<C64>, SimError> {
-        let path = self.shard_path(id)?;
-        let bytes = fs::read(&path).map_err(spill_io)?;
-        let _ = fs::remove_file(&path);
-        if bytes.len() != self.shard_len() * 16 {
-            return Err(SimError::InvalidState(format!(
-                "column shard file {} has {} bytes, expected {}",
-                path.display(),
-                bytes.len(),
-                self.shard_len() * 16,
-            )));
-        }
-        Ok(bytes
-            .chunks_exact(16)
-            .map(|pair| {
-                C64::new(
-                    f64::from_le_bytes(pair[..8].try_into().expect("8-byte chunk")),
-                    f64::from_le_bytes(pair[8..].try_into().expect("8-byte chunk")),
-                )
-            })
-            .collect())
-    }
-}
-
-impl Drop for ShardedColumn {
-    fn drop(&mut self) {
-        if let Some(dir) = &self.spill_dir {
-            let _ = fs::remove_dir_all(dir);
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardedColumn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedColumn")
-            .field("num_qubits", &self.num_qubits)
-            .field("shard_qubits", &self.shard_qubits)
-            .field("resident", &self.resident.len())
-            .field("spilled", &self.spilled.len())
-            .field("peak_shards", &self.peak_shards)
-            .finish()
-    }
-}
-
-/// Transforms one resident shard in place for a local-target op.
-fn apply_local(amps: &mut [C64], shard_len: usize, op: &Op, ctrl_lo: usize) {
-    let bit = 1usize << op.target;
-    match &op.kind {
-        Kind::Diag(d) => {
-            for (j, amp) in amps.iter_mut().enumerate() {
-                if j & ctrl_lo == ctrl_lo {
-                    *amp *= d[(j & bit != 0) as usize];
-                }
-            }
-        }
-        Kind::Anti(a) => {
-            for j in 0..shard_len {
-                if j & bit == 0 && j & ctrl_lo == ctrl_lo {
-                    let (x, y) = (amps[j], amps[j | bit]);
-                    amps[j] = a[0] * y;
-                    amps[j | bit] = a[1] * x;
-                }
-            }
-        }
-        Kind::Dense(m) => {
-            for j in 0..shard_len {
-                if j & bit == 0 && j & ctrl_lo == ctrl_lo {
-                    let (x, y) = (amps[j], amps[j | bit]);
-                    amps[j] = m[0][0] * x + m[0][1] * y;
-                    amps[j | bit] = m[1][0] * x + m[1][1] * y;
+            for (index, amp) in [(base, x), (base | bit, y)] {
+                if amp != C64::ZERO {
+                    self.amps.insert(index, amp);
                 }
             }
         }
@@ -643,37 +257,29 @@ fn check_index(num_qubits: u32, index: u64) -> Result<(), SimError> {
     Ok(())
 }
 
-fn spill_io(e: std::io::Error) -> SimError {
-    SimError::InvalidState(format!("column shard spill failed: {e}"))
-}
-
 /// One diagonal entry of a circuit: `⟨input|C|input⟩`, computed by
-/// streaming the column `C|input⟩` through a [`ShardedColumn`].
+/// streaming the column `C|input⟩` through a [`SparseColumn`].
 ///
 /// # Errors
 ///
-/// Propagates every [`ShardedColumn`] error — in particular
-/// [`SimError::ShardBudgetExceeded`] when the circuit branches past the
-/// configured envelope.
+/// Propagates every [`SparseColumn`] error — in particular
+/// [`SimError::ColumnTooBranchy`] when the circuit has more than
+/// [`MAX_COLUMN_BRANCHING`] branching ops.
 ///
 /// # Example
 ///
 /// ```
 /// use qcir::Circuit;
-/// use qsim::column::{basis_column_amplitude, ColumnConfig};
+/// use qsim::column::basis_column_amplitude;
 ///
 /// let mut c = Circuit::new(50);
 /// c.t(49);
-/// let amp = basis_column_amplitude(&c, 1u64 << 49, ColumnConfig::default())?;
+/// let amp = basis_column_amplitude(&c, 1u64 << 49)?;
 /// assert!((amp.arg() - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
 /// # Ok::<(), qsim::SimError>(())
 /// ```
-pub fn basis_column_amplitude(
-    circuit: &Circuit,
-    input: u64,
-    config: ColumnConfig,
-) -> Result<C64, SimError> {
-    let mut column = ShardedColumn::with_config(circuit.num_qubits(), input, config)?;
+pub fn basis_column_amplitude(circuit: &Circuit, input: u64) -> Result<C64, SimError> {
+    let mut column = SparseColumn::basis(circuit.num_qubits(), input)?;
     column.apply_circuit(circuit)?;
     column.amplitude(input)
 }
@@ -683,76 +289,112 @@ mod tests {
     use super::*;
     use crate::statevector::Statevector;
 
-    /// Tiny envelope that forces cross-shard pairing and LRU spilling
-    /// even on toy registers.
-    fn tight() -> ColumnConfig {
-        ColumnConfig {
-            shard_qubits: 3,
-            resident_shards: 2,
-            max_shards: 1 << 12,
-        }
+    /// The whole [`Gate`] surface, the seven branching gates last.
+    fn gate_table() -> [Gate; 26] {
+        [
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Rz(0.37),
+            Gate::P(-1.13),
+            Gate::CX,
+            Gate::CY,
+            Gate::CZ,
+            Gate::CP(0.81),
+            Gate::CRz(-0.52),
+            Gate::Swap,
+            Gate::CCX,
+            Gate::CSwap,
+            Gate::Mcx(3),
+            Gate::H,
+            Gate::Sx,
+            Gate::Sxdg,
+            Gate::Rx(0.61),
+            Gate::Ry(1.7),
+            Gate::U(0.4, -0.9, 2.2),
+            Gate::CH,
+        ]
     }
 
+    /// Gates of [`gate_table`] that never branch.
+    const NON_BRANCHING: u64 = 19;
+
+    /// Deterministic gate soup over [`gate_table`] on random distinct
+    /// wires (`n ≥ 4`, so the three-control MCX fits). Once the
+    /// branching budget is spent, a branching pick is swapped for a
+    /// non-branching one, so every circuit stays replayable.
     fn mixed_circuit(n: u32, seed: u64) -> Circuit {
-        // Deterministic gate soup covering every lowering class,
-        // including high-target (cross-shard) and controlled forms.
+        let table = gate_table();
         let mut c = Circuit::new(n);
         let mut s = seed;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s >> 33
+        // SplitMix64: every output bit mixes the whole state.
+        let mut next = move || {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         };
-        for _ in 0..24 {
-            let a = (next() % n as u64) as u32;
-            let b = (next() % n as u64) as u32;
-            match next() % 10 {
-                0 => {
-                    c.h(a);
-                }
-                1 => {
-                    c.t(a);
-                }
-                2 => {
-                    c.x(a);
-                }
-                3 => {
-                    c.rz(0.37, a);
-                }
-                4 if a != b => {
-                    c.cx(a, b);
-                }
-                5 if a != b => {
-                    c.swap(a, b);
-                }
-                6 if a != b => {
-                    c.cp(0.81, a, b);
-                }
-                7 => {
-                    c.sx(a);
-                }
-                8 if a != b => {
-                    c.ch(a, b);
-                }
-                _ => {
-                    c.sdg(a);
+        let mut branching = 0;
+        for _ in 0..48 {
+            let mut wires: Vec<u32> = (0..n).collect();
+            for k in 0..4 {
+                let j = k + (next() % (n as u64 - k as u64)) as usize;
+                wires.swap(k, j);
+            }
+            let mut pick = next() % table.len() as u64;
+            if pick >= NON_BRANCHING {
+                if branching == MAX_COLUMN_BRANCHING {
+                    pick -= NON_BRANCHING;
+                } else {
+                    branching += 1;
                 }
             }
+            let gate = table[pick as usize].clone();
+            let arity = gate.arity();
+            c.append(gate, &wires[..arity]).unwrap();
         }
         c
+    }
+
+    /// Branching ops a circuit lowers to.
+    fn branching_ops(c: &Circuit) -> usize {
+        c.iter()
+            .flat_map(lower)
+            .filter(|op| matches!(op.kind, Kind::Dense(_)))
+            .count()
+    }
+
+    #[test]
+    fn mixed_circuits_cover_every_gate_within_budget() {
+        let mut seen = Vec::new();
+        for n in [4u32, 6, 8] {
+            for seed in 0..4u64 {
+                let c = mixed_circuit(n, (u64::from(n) << 32) ^ seed);
+                assert!(branching_ops(&c) <= MAX_COLUMN_BRANCHING as usize);
+                seen.extend(c.iter().map(|inst| inst.gate().clone()));
+            }
+        }
+        for gate in gate_table() {
+            assert!(seen.contains(&gate), "mixed circuits never use {gate}");
+        }
     }
 
     #[test]
     fn column_agrees_with_dense_statevector() {
         for n in [4u32, 6, 8] {
             for seed in 0..4u64 {
-                let circuit = mixed_circuit(n, seed ^ 0x9E37);
+                let circuit = mixed_circuit(n, (u64::from(n) << 32) ^ seed);
                 let input = seed % (1 << n);
                 let mut sv = Statevector::basis(n, input as usize).unwrap();
                 sv.apply_circuit(&circuit).unwrap();
-                let mut col = ShardedColumn::with_config(n, input, tight()).unwrap();
+                let mut col = SparseColumn::basis(n, input).unwrap();
                 col.apply_circuit(&circuit).unwrap();
+                assert!(col.amps.len() <= 1 << col.branching);
                 for index in 0..1u64 << n {
                     let dense = sv.amplitudes()[index as usize];
                     let sparse = col.amplitude(index).unwrap();
@@ -766,35 +408,65 @@ mod tests {
     }
 
     #[test]
-    fn spilling_actually_happens_and_stays_correct() {
-        // 8 qubits / 3-qubit shards / 2 resident ⇒ an H-ladder drives
-        // support across all 32 shards and through the spill path.
-        let n = 8u32;
-        let mut circuit = Circuit::new(n);
-        for q in 0..n {
-            circuit.h(q);
+    fn over_budget_is_refused_and_leaves_the_column_unchanged() {
+        let mut first = Circuit::new(30);
+        for q in 0..6 {
+            first.h(q);
         }
-        circuit.t(7);
-        for q in 0..n {
-            circuit.h(q);
-        }
-        let mut sv = Statevector::basis(n, 0).unwrap();
-        sv.apply_circuit(&circuit).unwrap();
-        let mut col = ShardedColumn::with_config(n, 0, tight()).unwrap();
-        col.apply_circuit(&circuit).unwrap();
-        assert!(col.spill_count() > 0, "tight config must exercise spills");
-        for index in 0..1u64 << n {
-            let dense = sv.amplitudes()[index as usize];
-            let sparse = col.amplitude(index).unwrap();
-            assert!(dense.approx_eq(sparse, 1e-10), "index {index}");
-        }
+        let mut col = SparseColumn::basis(30, 0).unwrap();
+        col.apply_circuit(&first).unwrap();
+        let before = col.amps.clone();
+        // Five more: 11 over the column's lifetime, one past the budget.
+        let mut second = Circuit::new(30);
+        second
+            .x(29)
+            .ch(29, 6)
+            .rx(0.3, 7)
+            .ry(0.4, 8)
+            .u(0.1, 0.2, 0.3, 9);
+        second.append(Gate::Sxdg, &[10]).unwrap();
+        assert_eq!(branching_ops(&second), 5);
+        let err = col.apply_circuit(&second).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ColumnTooBranchy {
+                branching: MAX_COLUMN_BRANCHING + 1,
+                max: MAX_COLUMN_BRANCHING,
+            }
+        );
+        assert_eq!(col.branching, 6);
+        assert_eq!(col.amps, before);
+        assert!(matches!(
+            basis_column_amplitude(&first.then(&second).unwrap(), 0),
+            Err(SimError::ColumnTooBranchy { branching: 11, .. })
+        ));
     }
 
     #[test]
-    fn wide_permutation_stays_in_one_shard() {
+    fn support_is_bounded_by_the_branching_count() {
+        // Ten H gates on distinct wires reach the full 2^10 support, the
+        // most a column can ever hold.
+        let mut spread = Circuit::new(50);
+        for q in 40..50 {
+            spread.h(q);
+        }
+        let mut col = SparseColumn::basis(50, 0).unwrap();
+        col.apply_circuit(&spread).unwrap();
+        assert_eq!(col.amps.len(), 1 << MAX_COLUMN_BRANCHING);
+        // H·H interferes back to one amplitude: exact zeros are dropped.
+        let mut undo = Circuit::new(50);
+        for q in 40..45 {
+            undo.h(q).h(q);
+        }
+        let mut col = SparseColumn::basis(50, 0).unwrap();
+        col.apply_circuit(&undo).unwrap();
+        assert_eq!(col.amps.len(), 1);
+    }
+
+    #[test]
+    fn wide_permutation_keeps_one_amplitude() {
         // 50-qubit reversible logic: support never branches, so the
-        // column never allocates a second shard even as the single
-        // amplitude crosses shard boundaries.
+        // column holds one amplitude as it moves across the register.
         let mut c = Circuit::new(50);
         c.x(0)
             .cx(0, 45)
@@ -802,13 +474,10 @@ mod tests {
             .swap(30, 3)
             .mcx(&[0, 3, 45], 49);
         c.cswap(0, 45, 49);
-        let mut col = ShardedColumn::basis(50, 0).unwrap();
+        let mut col = SparseColumn::basis(50, 0).unwrap();
         col.apply_circuit(&c).unwrap();
-        assert_eq!(col.live_shards(), 1);
-        // Crossing a shard boundary transiently materialises the
-        // partner shard before the vacated one is pruned — the peak is
-        // 2, never more, for permutation circuits.
-        assert!(col.peak_shards() <= 2, "peak {}", col.peak_shards());
+        assert_eq!(col.amps.len(), 1);
+        assert_eq!(col.branching, 0);
         // Follow the bit with the independent classical evaluator.
         let expected = revlib_free_eval(&c);
         assert!(col.amplitude(expected).unwrap().approx_eq(C64::ONE, 1e-12));
@@ -858,9 +527,9 @@ mod tests {
     fn diagonal_gates_only_rotate_phase() {
         let mut c = Circuit::new(40);
         c.t(39).rz(0.25, 20).cp(0.5, 0, 39);
-        let mut col = ShardedColumn::basis(40, (1u64 << 39) | 1).unwrap();
+        let mut col = SparseColumn::basis(40, (1u64 << 39) | 1).unwrap();
         col.apply_circuit(&c).unwrap();
-        assert_eq!(col.live_shards(), 1);
+        assert_eq!(col.amps.len(), 1);
         let amp = col.amplitude((1u64 << 39) | 1).unwrap();
         // t(39) ⇒ π/4, rz(0.25; 20) on a clear bit ⇒ −0.125,
         // cp(0.5; 0,39) ⇒ 0.5 (both control and target set).
@@ -870,27 +539,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_budget_is_a_typed_error() {
-        let mut c = Circuit::new(30);
-        for q in 15..25 {
-            c.h(q); // 10 high-target branchings ⇒ 2^10 shards
-        }
-        let config = ColumnConfig {
-            shard_qubits: 15,
-            resident_shards: 4,
-            max_shards: 8,
-        };
-        let mut col = ShardedColumn::with_config(30, 0, config).unwrap();
-        let err = col.apply_circuit(&c).unwrap_err();
-        assert!(
-            matches!(err, SimError::ShardBudgetExceeded { max: 8, .. }),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
     fn width_cap_is_enforced() {
-        let err = ShardedColumn::basis(MAX_COLUMN_QUBITS + 1, 0).unwrap_err();
+        let err = SparseColumn::basis(MAX_COLUMN_QUBITS + 1, 0).unwrap_err();
         assert_eq!(
             err,
             SimError::TooManyQubits {
@@ -901,17 +551,17 @@ mod tests {
         // And the cap itself is fine.
         let mut c = Circuit::new(MAX_COLUMN_QUBITS);
         c.x(62).cx(62, 0);
-        let amp = basis_column_amplitude(&c, 0, ColumnConfig::default()).unwrap();
+        let amp = basis_column_amplitude(&c, 0).unwrap();
         assert!(amp.abs() < 1e-12);
     }
 
     #[test]
     fn bad_basis_index_is_rejected() {
         assert!(matches!(
-            ShardedColumn::basis(4, 0b10000),
+            SparseColumn::basis(4, 0b10000),
             Err(SimError::InvalidState(_))
         ));
-        let mut col = ShardedColumn::basis(4, 0).unwrap();
+        let col = SparseColumn::basis(4, 0).unwrap();
         assert!(matches!(
             col.amplitude(1 << 10),
             Err(SimError::InvalidState(_))
@@ -919,23 +569,14 @@ mod tests {
     }
 
     #[test]
-    fn x_ladder_prunes_zero_shards() {
-        // X on a high qubit moves the support shard; the vacated shard
-        // must be pruned, not kept as a live zero block.
+    fn x_ladder_leaves_no_zero_entries() {
+        // X on a high qubit moves the amplitude; the vacated index must
+        // be dropped, not kept as a stored zero.
         let mut c = Circuit::new(20);
         c.x(19).x(18).x(19);
-        let mut col = ShardedColumn::with_config(
-            20,
-            0,
-            ColumnConfig {
-                shard_qubits: 4,
-                resident_shards: 8,
-                max_shards: 64,
-            },
-        )
-        .unwrap();
+        let mut col = SparseColumn::basis(20, 0).unwrap();
         col.apply_circuit(&c).unwrap();
-        assert_eq!(col.live_shards(), 1);
+        assert_eq!(col.amps.len(), 1);
         assert!(col.amplitude(1 << 18).unwrap().approx_eq(C64::ONE, 1e-12));
     }
 }

@@ -21,14 +21,14 @@ pub enum SimError {
     },
     /// A state-construction argument was invalid.
     InvalidState(String),
-    /// An out-of-core column's live shard count exceeded its budget —
-    /// the circuit branched the basis column into more amplitude
-    /// support than the configured memory/disk envelope allows.
-    ShardBudgetExceeded {
-        /// Live shards the next allocation would have required.
-        shards: usize,
-        /// Configured shard budget.
-        max: usize,
+    /// A sparse basis column was asked to apply more branching ops
+    /// than its budget allows — its amplitude support could outgrow
+    /// `2^max`. Raised before any gate runs.
+    ColumnTooBranchy {
+        /// Branching ops the column would have applied in total.
+        branching: u32,
+        /// The budget, `column::MAX_COLUMN_BRANCHING`.
+        max: u32,
     },
 }
 
@@ -46,9 +46,9 @@ impl fmt::Display for SimError {
                 "circuit needs {circuit} qubits but state has only {state}"
             ),
             SimError::InvalidState(message) => write!(f, "invalid state: {message}"),
-            SimError::ShardBudgetExceeded { shards, max } => write!(
+            SimError::ColumnTooBranchy { branching, max } => write!(
                 f,
-                "basis column branched into {shards} shards, over the budget of {max}"
+                "basis column needs {branching} branching gates, over the budget of {max}"
             ),
         }
     }

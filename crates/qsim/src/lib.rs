@@ -14,8 +14,8 @@
 //!   engine internals and the determinism contract).
 //! * [`unitary`] — full-unitary extraction and equivalence checking used to
 //!   *prove* de-obfuscation correctness in tests.
-//! * [`mod@column`] — sparse, spillable single-column simulation
-//!   ([`ShardedColumn`]) for witness replay on registers far past the
+//! * [`mod@column`] — sparse single-column simulation
+//!   ([`SparseColumn`]) for witness replay on registers far past the
 //!   dense cap: memory scales with amplitude support, not width.
 //! * [`noise`] — stochastic Pauli + readout error model (the Monte-Carlo
 //!   equivalent of Qiskit's depolarizing/readout noise).
@@ -61,7 +61,7 @@ pub mod sampler;
 pub mod statevector;
 pub mod unitary;
 
-pub use column::{basis_column_amplitude, ColumnConfig, ShardedColumn, MAX_COLUMN_QUBITS};
+pub use column::{basis_column_amplitude, SparseColumn, MAX_COLUMN_BRANCHING, MAX_COLUMN_QUBITS};
 pub use complex::C64;
 pub use density::DensityMatrix;
 pub use device::Device;

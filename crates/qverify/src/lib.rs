@@ -32,7 +32,7 @@
 //! nothing by itself, but its residue proposes candidate basis inputs;
 //! a candidate confirmed by an independent replay — limb-backed
 //! classical bit evaluation for reversible circuits at **any** register
-//! width, or a sharded out-of-core basis-column replay of the miter up
+//! width, or a sparse basis-column replay of the miter up
 //! to [`MAX_COLUMN_QUBITS`] wires (with a dense statevector fallback
 //! for branchy miters within [`MAX_STIMULUS_QUBITS`]) — certifies
 //! **inequivalence** with a concrete [`Witness::BasisInput`] /
@@ -88,15 +88,11 @@ pub use qsim::MAX_COLUMN_QUBITS;
 /// fall through to the quantum tiers.
 pub const CLASSICAL_EXHAUSTIVE_MAX_QUBITS: u32 = 16;
 
-/// Most *branching* gates (H/CH/√X/Rx/Ry/U — the gates that split one
-/// basis amplitude into two) a miter may contain for the ZX tier's
-/// sharded basis-column replay to apply. Each branching gate at most
-/// doubles the column's amplitude support, so `2^MAX_COLUMN_BRANCHING`
-/// bounds the live amplitudes and keeps the replay's memory envelope
-/// within its shard budget at any width up to [`MAX_COLUMN_QUBITS`].
-/// Branchier miters fall back to one dense statevector replay within
-/// [`MAX_STIMULUS_QUBITS`], and are replay-infeasible past it.
-pub const MAX_COLUMN_BRANCHING: u32 = 10;
+/// Most *branching* gates (H/CH/√X/Rx/Ry/U) a miter may contain for the
+/// ZX tier's sparse basis-column replay to apply; branchier miters fall
+/// back to one dense statevector replay within [`MAX_STIMULUS_QUBITS`],
+/// and are replay-infeasible past it.
+pub use qsim::MAX_COLUMN_BRANCHING;
 
 // Tier dispatch telemetry: every tier attempt in `check_report` ticks
 // its entered counter, records its elapsed time, and — when tracing at
@@ -242,7 +238,7 @@ pub enum Witness {
     },
     /// A basis input whose output states have overlap below 1 (dense
     /// tier, or a ZX residue confirmed by a basis-column replay of the
-    /// miter — sharded out-of-core up to [`MAX_COLUMN_QUBITS`] wires).
+    /// miter — sparse up to [`MAX_COLUMN_QUBITS`] wires).
     BasisColumn {
         /// The diverging basis input (unitary column).
         input: u64,

@@ -14,10 +14,9 @@
 //! [`Verdict::Equivalent`] with confidence `1 − 2^{−trials}` recorded in
 //! the [`Report`].
 
-use crate::{Report, Tier, Verdict, Witness, MAX_COLUMN_BRANCHING, MAX_STIMULUS_QUBITS};
-use qcir::{Circuit, Gate};
-use qsim::column::{basis_column_amplitude, ColumnConfig};
-use qsim::{SimError, Statevector, C64, MAX_COLUMN_QUBITS};
+use crate::{Report, Tier, Verdict, Witness, MAX_STIMULUS_QUBITS};
+use qcir::Circuit;
+use qsim::{basis_column_amplitude, SimError, Statevector, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::{PI, TAU};
@@ -114,40 +113,6 @@ pub(crate) fn check(
     })
 }
 
-/// `true` when `gate` can *branch* a basis column — a 2×2 action with
-/// all four entries non-zero for generic angles, the only class that
-/// can grow the column's amplitude support. Conservative: an `Rx(π)`
-/// is really antidiagonal, but still counts.
-fn is_branching(gate: &Gate) -> bool {
-    matches!(
-        gate,
-        Gate::H | Gate::CH | Gate::Sx | Gate::Sxdg | Gate::Rx(_) | Gate::Ry(_) | Gate::U(..)
-    )
-}
-
-/// Shard envelope for witness basis replay: small 4 KiB shards (2⁸
-/// amplitudes) so support is tracked at fine grain, and a budget the
-/// branching screen can never overrun — with at most
-/// [`MAX_COLUMN_BRANCHING`] branching gates the column's support is
-/// ≤ 2^[`MAX_COLUMN_BRANCHING`] amplitudes, hence at most 1024 shards,
-/// comfortably under the 2048 budget. The budget is defense in depth,
-/// not the expected abort path.
-fn witness_column_config() -> ColumnConfig {
-    ColumnConfig {
-        shard_qubits: 8,
-        resident_shards: 256,
-        max_shards: 2048,
-    }
-}
-
-/// `true` when the sharded-column replay is guaranteed cheap for this
-/// miter: within the `u64` addressing cap and with a bounded number of
-/// branching gates (support ≤ 2^[`MAX_COLUMN_BRANCHING`] amplitudes).
-pub(crate) fn column_replay_feasible(miter: &Circuit) -> bool {
-    miter.num_qubits() <= MAX_COLUMN_QUBITS
-        && miter.iter().filter(|i| is_branching(i.gate())).count() as u32 <= MAX_COLUMN_BRANCHING
-}
-
 /// One diagonal entry of the miter: the complex amplitude
 /// `⟨x|C₂†C₁|x⟩`. A magnitude strictly below 1 means the input does not
 /// return to its own ray — exact evidence of inequivalence; a *unit*
@@ -159,32 +124,28 @@ pub(crate) fn column_replay_feasible(miter: &Circuit) -> bool {
 /// (`zx::witness`): the graph reduction only *proposes* basis inputs,
 /// and this replay — which never looks at the ZX graph — is what turns
 /// a proposal into a [`Witness::BasisColumn`] or
-/// [`Witness::RelativePhase`]. Dispatch: a support-bounded miter
-/// (screened by [`column_replay_feasible`]) streams through the sharded
-/// out-of-core column at any width up to [`MAX_COLUMN_QUBITS`] — memory
-/// scales with amplitude support, not `2ⁿ`; a branchy miter within the
-/// statevector cap falls back to one dense basis replay.
+/// [`Witness::RelativePhase`]. Dispatch: the miter first streams
+/// through the sparse [`qsim::SparseColumn`] at any width up to
+/// [`qsim::MAX_COLUMN_QUBITS`] — memory scales with amplitude support,
+/// not `2ⁿ`; a miter with more than [`crate::MAX_COLUMN_BRANCHING`]
+/// branching gates is refused by the column and, within the
+/// statevector cap, falls back to one dense basis replay.
 ///
 /// # Errors
 ///
-/// [`SimError::ShardBudgetExceeded`] when the miter is too branchy for
-/// the column and too wide for a statevector — the caller treats any
-/// error as "replay infeasible" and falls through.
+/// [`SimError::ColumnTooBranchy`] when the miter is too branchy for the
+/// column and too wide for a statevector — the caller treats any error
+/// as "replay infeasible" and falls through.
 pub(crate) fn miter_basis_amplitude(miter: &Circuit, input: u64) -> Result<C64, SimError> {
-    if column_replay_feasible(miter) {
-        return basis_column_amplitude(miter, input, witness_column_config());
-    }
     let n = miter.num_qubits();
-    if n <= MAX_STIMULUS_QUBITS {
-        let mut state = Statevector::basis(n, input as usize)?;
-        state.apply_circuit(miter)?;
-        return Ok(state.amplitudes()[input as usize]);
+    match basis_column_amplitude(miter, input) {
+        Err(SimError::ColumnTooBranchy { .. }) if n <= MAX_STIMULUS_QUBITS => {
+            let mut state = Statevector::basis(n, input as usize)?;
+            state.apply_circuit(miter)?;
+            Ok(state.amplitudes()[input as usize])
+        }
+        other => other,
     }
-    let branching = miter.iter().filter(|i| is_branching(i.gate())).count();
-    Err(SimError::ShardBudgetExceeded {
-        shards: 1usize << (branching.min(32) as u32),
-        max: witness_column_config().max_shards,
-    })
 }
 
 /// Worker count: requested (or available parallelism), capped by the
@@ -323,7 +284,6 @@ mod tests {
     fn miter_amplitude_column_path_matches_dense_replay() {
         let mut m = Circuit::new(6);
         m.h(0).t(1).cx(1, 2).swap(2, 5).tdg(3);
-        assert!(column_replay_feasible(&m));
         for input in [0u64, 0b100110, 0b111111] {
             let sparse = miter_basis_amplitude(&m, input).unwrap();
             let mut sv = Statevector::basis(6, input as usize).unwrap();
@@ -341,13 +301,12 @@ mod tests {
         // statevector: the replay must refuse with a typed error, never
         // attempt an exponential stream.
         let mut m = Circuit::new(MAX_STIMULUS_QUBITS + 2);
-        for q in 0..=MAX_COLUMN_BRANCHING {
+        for q in 0..=crate::MAX_COLUMN_BRANCHING {
             m.h(q);
         }
-        assert!(!column_replay_feasible(&m));
         assert!(matches!(
             miter_basis_amplitude(&m, 0),
-            Err(SimError::ShardBudgetExceeded { .. })
+            Err(SimError::ColumnTooBranchy { .. })
         ));
     }
 

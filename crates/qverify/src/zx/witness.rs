@@ -21,7 +21,7 @@
 //!      **any** register width, `O(gates)` per input
 //!      ([`Witness::BasisInput`], outputs compared exactly);
 //!    * otherwise → the miter's diagonal amplitude `⟨x|C₂†C₁|x⟩` from
-//!      [`crate::stimulus::miter_basis_amplitude`] (sharded out-of-core
+//!      [`crate::stimulus::miter_basis_amplitude`] (sparse basis
 //!      column for support-bounded miters up to
 //!      [`qsim::MAX_COLUMN_QUBITS`] wires, dense basis replay for
 //!      branchy miters within the statevector cap). A magnitude deficit

@@ -99,7 +99,7 @@ fn clifford_seq(n: u32, len: usize, rng: &mut StdRng) -> GateSeq {
 
 /// Random Clifford+T sequence with at most `max_h` Hadamards, so the
 /// miter of any pair built from two such sequences stays within the
-/// sharded column replay's branching bound.
+/// sparse column replay's branching bound.
 fn clifford_t_seq(n: u32, len: usize, max_h: usize, rng: &mut StdRng) -> GateSeq {
     let mut h_left = max_h;
     (0..len)
@@ -391,7 +391,7 @@ fn small_clifford_t_pairs_match_dense_ground_truth() {
 fn wide_bounded_branching_clifford_t_pairs_stay_decided_to_32_qubits() {
     // 24 pairs, 16 to 32 wires — past the dense cap and (at 30/32) past
     // the statevector cap. Each sequence carries at most 4 Hadamards,
-    // so every miter stays within MAX_COLUMN_BRANCHING and the sharded
+    // so every miter stays within MAX_COLUMN_BRANCHING and the sparse
     // column replay can certify what the reduction alone cannot. These
     // widths were the cascade's blind spot before this issue.
     for &n in &[16u32, 24, 30, 32] {

@@ -12,7 +12,7 @@
 //! * the tier's historical blind spots are closed: `T` vs `T†` is
 //!   rejected with a **relative-phase** witness, and a 30-qubit
 //!   diagonal-plus-permutation residue — past the statevector cap — is
-//!   witnessed through the **sharded out-of-core basis-column** replay;
+//!   witnessed through the **sparse basis-column** replay;
 //! * 20- and 28-qubit wrong-key recombinations are rejected by the
 //!   **ZX tier itself** with replay-confirmed basis witnesses — since
 //!   the two-sided witness extension, sampling is no longer needed for
@@ -186,8 +186,8 @@ fn thirty_four_qubit_clifford_t_roundtrip_certified_by_zx_tier() {
 
     // A corrupted restore cannot be *witnessed* at this size: the
     // miter carries hundreds of Hadamards, far over the
-    // MAX_COLUMN_BRANCHING bound, so the sharded column replay refuses
-    // (its amplitude support would blow the shard budget), the
+    // MAX_COLUMN_BRANCHING bound, so the sparse column replay refuses
+    // (its amplitude support could outgrow 2^MAX_COLUMN_BRANCHING), the
     // register is past the statevector cap (no dense replay), and the
     // circuits are not classical (no bit replay) — so the witness
     // extension has nothing sound to offer and the dispatch honestly
@@ -432,12 +432,11 @@ fn t_versus_tdg_certified_with_relative_phase_witness() {
 fn thirty_qubit_diagonal_witness_via_sharded_column_replay() {
     // A 30-qubit non-classical wrong pair: past the statevector cap,
     // so the old single-statevector basis replay could never certify
-    // it. The miter has no branching gates, so the sharded out-of-core
-    // column replay streams the relevant basis columns in bounded
-    // memory and confirms the witness — the permutation residue shows
-    // up as a vanished diagonal amplitude (a BasisColumn witness), and
-    // the t/tdg garnish keeps the pair off the classical and Clifford
-    // tiers.
+    // it. The miter has no branching gates, so the sparse column replay
+    // carries each relevant basis column as a single amplitude and
+    // confirms the witness — the permutation residue shows up as a
+    // vanished diagonal amplitude (a BasisColumn witness), and the
+    // t/tdg garnish keeps the pair off the classical and Clifford tiers.
     let n = 30u32;
     assert!(n > qverify::MAX_STIMULUS_QUBITS);
     assert!(n <= qverify::MAX_COLUMN_QUBITS);
@@ -451,7 +450,7 @@ fn thirty_qubit_diagonal_witness_via_sharded_column_replay() {
         witness: Witness::BasisColumn { input, overlap },
     } = report.verdict
     else {
-        panic!("expected a sharded-replay basis-column witness, got {report}");
+        panic!("expected a sparse-replay basis-column witness, got {report}");
     };
     // A single-bit probe on an active wire sees the crossed wires: the
     // miter moves |...1_3...⟩ to |...1_7...⟩, so the diagonal amplitude
