@@ -1,4 +1,4 @@
-//! `perfdump_qverify` — machine-readable ZX-tier perf trajectory.
+//! `perfdump_qverify` — machine-readable verifier perf trajectory.
 //!
 //! Runs the ZX scaling suite — certify (Clifford+T restore round-trips
 //! at 20/30/40 qubits), stall (a corrupted restore whose atom-sum
@@ -6,9 +6,11 @@
 //! and witness (wrong-key rejection via the replay-confirmed witness:
 //! bit replay at 20/30 qubits, basis-column replay at 20 qubits, and
 //! the sparse basis column at 30 qubits — past the statevector
-//! cap) — and writes `BENCH_qverify.json` with
-//! the median wall-clock per case, so the ZX tier's cost trajectory is
-//! recorded on every run instead of claimed once.
+//! cap) — plus one full dispatch case, the seeded rd84 protect →
+//! compile → recombine pair through `check_report` (the Table I pair
+//! that sets the end-to-end time), and writes `BENCH_qverify.json` with
+//! the median wall-clock and deciding tier per case, so the verifier's
+//! cost trajectory is recorded on every run instead of claimed once.
 //!
 //! ```text
 //! cargo run --release -p bench --bin perfdump_qverify            # full suite
@@ -24,6 +26,7 @@
 use qcir::random::{random_reversible, RandomCircuitConfig};
 use qcir::Circuit;
 use qverify::{Verdict, Verifier};
+use tetrislock::job::{JobConfig, JobStage, JobState};
 use tetrislock::recombine::recombine;
 use tetrislock::Obfuscator;
 
@@ -35,6 +38,8 @@ struct CaseResult {
     reps: usize,
     median_ms: f64,
     outcome: &'static str,
+    /// The deciding tier, as `qverify::Tier` displays it.
+    tier: String,
 }
 
 /// A Clifford+T ladder (the certify workload of `benches/qverify.rs`).
@@ -51,6 +56,35 @@ fn roundtrip_pair(c: &Circuit) -> (Circuit, Circuit) {
     let obf = Obfuscator::new().with_seed(11).obfuscate(c);
     let restored = recombine(&obf.split(3)).expect("recombination is total");
     (c.clone(), restored)
+}
+
+/// The rd84 pair the job pipeline verifies: the original and its
+/// restore after seeded protect → compile (ideal device) → recombine,
+/// padded to one register as the verify stage pads them.
+fn rd84_restore_pair() -> (Circuit, Circuit) {
+    let rd84 = revlib::table1_benchmarks()
+        .into_iter()
+        .find(|b| b.name() == "rd84")
+        .expect("rd84 is a Table I circuit");
+    let config = JobConfig {
+        seed: 1,
+        split_seed: 2,
+        ..JobConfig::default()
+    };
+    let mut job = JobState::new("rd84", rd84.circuit().clone(), config);
+    let unused = std::env::temp_dir();
+    while job.stage != JobStage::Verify {
+        job.advance(&unused)
+            .expect("pre-verify stages write no files");
+    }
+    let restored = job.restored.expect("recombine produced a circuit");
+    let n = restored.num_qubits().max(job.original.num_qubits());
+    let pad = |c: &Circuit| {
+        let mut out = Circuit::new(n);
+        out.compose(c).expect("padding cannot fail");
+        out
+    };
+    (pad(&job.original), pad(&restored))
 }
 
 fn main() {
@@ -86,6 +120,7 @@ fn main() {
             reps,
             median_ms: ms,
             outcome: "equivalent",
+            tier: qverify::Tier::Zx.to_string(),
         });
 
         // stall: a corrupted restore whose residue cannot be witnessed —
@@ -111,6 +146,7 @@ fn main() {
             reps,
             median_ms: ms,
             outcome: "fall-through",
+            tier: qverify::Tier::Zx.to_string(),
         });
     }
 
@@ -134,6 +170,7 @@ fn main() {
             reps,
             median_ms: ms,
             outcome: "inequivalent",
+            tier: qverify::Tier::Zx.to_string(),
         });
     }
 
@@ -164,8 +201,28 @@ fn main() {
             reps,
             median_ms: ms,
             outcome: "inequivalent",
+            tier: qverify::Tier::Zx.to_string(),
         });
     }
+
+    // dense: the rd84 restore pair through the full tier dispatch.
+    let (orig, restored) = rd84_restore_pair();
+    eprintln!("timing dense_rd84_restore…");
+    let mut tier = None;
+    let ms = qobs::time_median_ms("perfdump.dense_rd84_restore", 1, reps, || {
+        let report = verifier.check_report(&orig, &restored);
+        assert!(report.verdict.is_equivalent(), "{report}");
+        tier = Some(report.tier);
+    });
+    cases.push(CaseResult {
+        name: "dense_rd84_restore".to_string(),
+        qubits: orig.num_qubits(),
+        gates: orig.gate_count() + restored.gate_count(),
+        reps,
+        median_ms: ms,
+        outcome: "equivalent",
+        tier: tier.expect("timed at least once").to_string(),
+    });
 
     let json = render_json(&cases, smoke);
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
@@ -178,13 +235,14 @@ fn render_json(cases: &[CaseResult], smoke: bool) -> String {
     for (i, case) in cases.iter().enumerate() {
         body.push_str(&format!(
             "    {{\"name\": \"{}\", \"qubits\": {}, \"gates\": {}, \"reps\": {}, \
-             \"median_ms\": {:.4}, \"outcome\": \"{}\"}}{}\n",
+             \"median_ms\": {:.4}, \"outcome\": \"{}\", \"tier\": \"{}\"}}{}\n",
             case.name,
             case.qubits,
             case.gates,
             case.reps,
             case.median_ms,
             case.outcome,
+            case.tier,
             if i + 1 < cases.len() { "," } else { "" },
         ));
     }
@@ -192,11 +250,13 @@ fn render_json(cases: &[CaseResult], smoke: bool) -> String {
         "{{\n  \"suite\": \"qverify_zx\",\n  \"schema_version\": 1,\n  \"smoke\": {smoke},\n  \
          \"engine\": {{\"max_mcx_controls\": {}, \"stimulus_cap_qubits\": {}, \
          \"dyadic_grid_log\": {}, \"column_cap_qubits\": {}, \
-         \"column_branching_cap\": {}}},\n  \"cases\": [\n{body}  ]\n}}\n",
+         \"column_branching_cap\": {}, \"column_support_cap\": {}}},\n  \
+         \"cases\": [\n{body}  ]\n}}\n",
         qverify::MAX_MCX_CONTROLS,
         qverify::MAX_STIMULUS_QUBITS,
         qverify::DYADIC_GRID_LOG,
         qverify::MAX_COLUMN_QUBITS,
         qverify::MAX_COLUMN_BRANCHING,
+        qverify::MAX_COLUMN_SUPPORT,
     )
 }

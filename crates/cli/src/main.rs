@@ -454,7 +454,8 @@ Decides whether two circuits implement the same unitary (up to global
 phase). If the registers differ, the smaller circuit is padded with
 identity wires onto the larger register.
 
-Tier selection — the cheapest applicable decision procedure wins:
+Tier selection — the tiers are tried in this order, and the first one
+that decides wins:
 
   classical      both circuits classical reversible (X/CX/CCX/MCX/SWAP/
                  CSWAP) and <= {classical} qubits. Exact: every basis input is
@@ -462,6 +463,15 @@ Tier selection — the cheapest applicable decision procedure wins:
   tableau        both circuits Clifford (H/S/CX and gates reducible to
                  them, incl. right-angle rotations). Exact at hundreds
                  of qubits via stabilizer conjugation of the miter.
+  dense-unitary  <= {dense} qubits, sparse pass. Exact: every basis column
+   (sparse)      of both circuits runs as a sparse basis column holding
+                 only its non-zero amplitudes, and the columns are
+                 compared. Near-classical pairs (reversible logic
+                 compiled to H/T/CX, restores and wrong keys alike) keep
+                 a handful of amplitudes per column and are decided
+                 here without a ZX graph. A column holding more than
+                 {support} amplitudes, or more than half the register's
+                 basis states, stops the pass without a verdict.
   zx-calculus    any gate set, any register size. The miter C2^dag*C1 is
                  reduced by ZX graph rewriting over exact phases (no
                  float tolerance); full reduction to bare wires is an
@@ -477,8 +487,10 @@ Tier selection — the cheapest applicable decision procedure wins:
                  relative-phase witness (the diagonal-residue shape,
                  e.g. T vs Tdg). With no confirmed witness the stall
                  proves nothing and falls through.
-  dense-unitary  <= {dense} qubits. Exact full-unitary comparison; produces
-                 a concrete witness (basis column or relative phase) on
+  dense-unitary  <= {dense} qubits, statevector pass. Exact: the same column
+   (statevector) comparison on full 2^n-amplitude statevectors, at the
+                 same cost for every pair. Both dense passes produce a
+                 concrete witness (basis column or relative phase) on
                  failure.
   stimulus       <= {stimulus} qubits. Statistical: the miter runs on --trials
                  random product states (default 16), in parallel. A
@@ -501,6 +513,7 @@ Exit status: 0 iff equivalent, 1 otherwise (including inconclusive).
         stimulus = qverify::MAX_STIMULUS_QUBITS,
         column = qverify::MAX_COLUMN_QUBITS,
         branching = qverify::MAX_COLUMN_BRANCHING,
+        support = qverify::MAX_COLUMN_SUPPORT,
     )
 }
 
@@ -547,7 +560,8 @@ fn inconclusive_message(report: &qverify::Report) -> &'static str {
 }
 
 /// Runs the tiered `qverify` engine (classical permutation → stabilizer
-/// tableau → dense unitary → parallel random stimulus). The smaller
+/// tableau → sparse dense pass → ZX → statevector dense pass → parallel
+/// random stimulus). The smaller
 /// circuit is padded onto the larger register; extra wires must act as
 /// identity.
 fn verification_report(a: &Circuit, b: &Circuit, verifier: &qverify::Verifier) -> qverify::Report {

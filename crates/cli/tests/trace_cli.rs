@@ -82,15 +82,18 @@ fn verify_trace_roundtrip_and_report() {
 
 #[test]
 fn dense_tier_trace_records_kernel_class_counts() {
-    // An 8-control mcx (past the ZX translation bound) with a t/tdg
-    // garnish: non-classical, non-Clifford, and the miter never even
-    // becomes a ZX diagram — so the dense tier decides, driving the
-    // qsim statevector kernels. (t vs tdg alone no longer works here:
-    // the ZX tier certifies it with a phase-replay witness.)
+    // A branchy pair that reaches the statevector kernels: an H on
+    // every wire fills column 0, so the dense tier's sparse pass hands
+    // over; the 8-control mcx (past the ZX translation bound) keeps the
+    // miter from ever becoming a ZX diagram; the t/tdg garnish makes
+    // the pair non-classical, non-Clifford and inequivalent. So the
+    // statevector pass decides, driving the qsim kernels. (Without the
+    // H layer the sparse pass would decide the pair before ZX.)
     let wide = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[9];\n";
+    let spread: String = (0..9).map(|q| format!("h q[{q}];\n")).collect();
     let mcx = "mcx8 q[0],q[1],q[2],q[3],q[4],q[5],q[6],q[7],q[8];\n";
-    let a = write("dt_t.qasm", &format!("{wide}{mcx}t q[8];\n"));
-    let b = write("dt_tdg.qasm", &format!("{wide}{mcx}tdg q[8];\n"));
+    let a = write("dt_t.qasm", &format!("{wide}{spread}{mcx}t q[8];\n"));
+    let b = write("dt_tdg.qasm", &format!("{wide}{spread}{mcx}tdg q[8];\n"));
     let trace = tmp("dt_dense.jsonl");
 
     let out = bin()
@@ -108,6 +111,7 @@ fn dense_tier_trace_records_kernel_class_counts() {
     let text = std::fs::read_to_string(&trace).unwrap();
     qobs::schema::validate_trace(&text).unwrap_or_else(|e| panic!("invalid trace: {e}\n{text}"));
     assert!(text.contains("\"tier\":\"dense\""), "{text}");
+    assert!(text.contains("\"outcome\":\"fell_through\""), "{text}");
     assert!(text.contains("qsim.kernel."), "{text}");
     assert!(text.contains("\"name\":\"cli.error\""), "{text}");
 }

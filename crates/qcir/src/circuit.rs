@@ -31,9 +31,22 @@ impl Instruction {
     /// # Errors
     ///
     /// Returns [`CircuitError::ArityMismatch`] if the operand count does not
-    /// match [`Gate::arity`], or [`CircuitError::DuplicateQubit`] if the same
-    /// qubit appears twice.
+    /// match [`Gate::arity`], [`CircuitError::DuplicateQubit`] if the same
+    /// qubit appears twice, or [`CircuitError::NonFiniteParameter`] if an
+    /// angle is infinite or NaN.
     pub fn new(gate: Gate, qubits: Vec<Qubit>) -> Result<Self, CircuitError> {
+        let finite = match gate {
+            Gate::Rx(a) | Gate::Ry(a) | Gate::Rz(a) | Gate::P(a) | Gate::CP(a) | Gate::CRz(a) => {
+                a.is_finite()
+            }
+            Gate::U(t, p, l) => t.is_finite() && p.is_finite() && l.is_finite(),
+            _ => true,
+        };
+        if !finite {
+            return Err(CircuitError::NonFiniteParameter {
+                gate: gate.to_string(),
+            });
+        }
         if qubits.len() != gate.arity() {
             return Err(CircuitError::ArityMismatch {
                 gate: gate.name().to_string(),
@@ -711,6 +724,39 @@ mod tests {
             Instruction::new(Gate::CX, vec![Qubit::new(1)]),
             Err(CircuitError::ArityMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn instruction_rejects_non_finite_parameters() {
+        let q = |i| vec![Qubit::new(i)];
+        for gate in [
+            Gate::Rz(f64::INFINITY),
+            Gate::Rx(f64::NEG_INFINITY),
+            Gate::Ry(f64::NAN),
+            Gate::P(f64::NAN),
+            Gate::U(0.1, f64::INFINITY, 0.3),
+            Gate::U(0.1, 0.2, f64::NAN),
+        ] {
+            let err = Instruction::new(gate.clone(), q(0)).unwrap_err();
+            assert!(
+                matches!(err, CircuitError::NonFiniteParameter { .. }),
+                "{gate}: {err}"
+            );
+        }
+        for gate in [Gate::CP(f64::INFINITY), Gate::CRz(f64::NAN)] {
+            assert!(matches!(
+                Instruction::new(gate, vec![Qubit::new(0), Qubit::new(1)]),
+                Err(CircuitError::NonFiniteParameter { .. })
+            ));
+        }
+        // Finite extremes stay valid, and the builder path is guarded too.
+        assert!(Instruction::new(Gate::Rz(f64::MAX), q(0)).is_ok());
+        let mut c = Circuit::new(1);
+        assert!(matches!(
+            c.append(Gate::Rz(f64::INFINITY), &[0]),
+            Err(CircuitError::NonFiniteParameter { .. })
+        ));
+        assert_eq!(c.gate_count(), 0);
     }
 
     #[test]

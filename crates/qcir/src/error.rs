@@ -36,6 +36,12 @@ pub enum CircuitError {
     /// A circuit-level validation failed (empty register, mismatched
     /// composition, ...).
     Invalid(String),
+    /// A gate angle was infinite or NaN: it has no matrix, so no
+    /// simulator or verifier can give the gate a meaning.
+    NonFiniteParameter {
+        /// The offending gate as displayed (e.g. `rz(inf)`).
+        gate: String,
+    },
 }
 
 impl fmt::Display for CircuitError {
@@ -57,6 +63,9 @@ impl fmt::Display for CircuitError {
                 write!(f, "parse error at line {line}: {message}")
             }
             CircuitError::Invalid(message) => write!(f, "invalid circuit: {message}"),
+            CircuitError::NonFiniteParameter { gate } => {
+                write!(f, "gate {gate} has a non-finite parameter")
+            }
         }
     }
 }

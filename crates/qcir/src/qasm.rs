@@ -83,10 +83,17 @@ fn parse_angle(token: &str, line: usize) -> Result<f64, CircuitError> {
     let t = token.trim();
     // Support simple `pi`-expressions: pi, -pi, pi/2, 2*pi, -pi/4 ...
     let normalized = t.replace("pi", &std::f64::consts::PI.to_string());
-    eval_simple(&normalized).ok_or_else(|| CircuitError::Parse {
-        line,
-        message: format!("cannot parse angle `{t}`"),
-    })
+    match eval_simple(&normalized) {
+        Some(angle) if angle.is_finite() => Ok(angle),
+        Some(_) => Err(CircuitError::Parse {
+            line,
+            message: format!("angle `{t}` is not a finite number"),
+        }),
+        None => Err(CircuitError::Parse {
+            line,
+            message: format!("cannot parse angle `{t}`"),
+        }),
+    }
 }
 
 /// Evaluates `a`, `a/b`, `a*b`, with optional leading `-`.
@@ -402,6 +409,24 @@ mod tests {
         assert_eq!(back.instruction(0).unwrap().gate(), &Gate::Mcx(3));
         assert_eq!(back.instruction(1).unwrap().gate(), &Gate::Mcx(4));
         assert_eq!(back.instruction(2).unwrap().gate(), &Gate::Mcx(5));
+    }
+
+    #[test]
+    fn non_finite_angles_are_parse_errors() {
+        for angle in ["1e309", "-1e309", "pi/0", "0/0", "inf", "NaN", "1e308*10"] {
+            let src = format!("qreg q[1];\nrz({angle}) q[0];");
+            match from_qasm(&src) {
+                Err(CircuitError::Parse { line: 2, message }) => {
+                    assert!(
+                        message.contains("not a finite number"),
+                        "{angle}: {message}"
+                    )
+                }
+                other => panic!("{angle}: expected a parse error, got {other:?}"),
+            }
+        }
+        // The largest finite angles still parse.
+        assert!(from_qasm("qreg q[1]; rz(1e308) q[0];").is_ok());
     }
 
     #[test]

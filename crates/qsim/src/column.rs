@@ -1,24 +1,41 @@
-//! Sparse single-column simulation for witness replay.
+//! Sparse single-column simulation for exhaustive and witness replay.
 //!
-//! The witness layer of the verifier needs one number from a miter
-//! `C₂†·C₁`: the amplitude `⟨x|M|x⟩` for a candidate basis input `x`.
-//! A dense statevector caps that question at
-//! [`crate::statevector::MAX_QUBITS`] qubits because it materialises all
-//! `2ⁿ` amplitudes. But a *column* of the miter — the state `M|x⟩` —
-//! usually has tiny support: permutation gates (X/CX/CCX/MCX/SWAP) move
-//! the single amplitude around, diagonal gates (Z/S/T/Rz/P and their
-//! controlled forms) only rotate its phase, and each branching gate
-//! (H/Sx/Rx/Ry/U, …) at most doubles the number of non-zero amplitudes.
+//! Two verifier paths need a *column* of a circuit — the state `C|x⟩`
+//! for one basis input `x` — rather than the whole unitary. The ZX
+//! tier's witness layer asks one amplitude of a miter `C₂†·C₁` at
+//! widths far past [`crate::statevector::MAX_QUBITS`]; the dense tier
+//! compares `C₁|x⟩` with `C₂|x⟩` for every `x` of a small register. In
+//! both, the column usually has tiny support: permutation gates
+//! (X/CX/CCX/MCX/SWAP) move the single amplitude around, diagonal gates
+//! (Z/S/T/Rz/P and their controlled forms) only rotate its phase, and
+//! each branching gate (H/Sx/Rx/Ry/U, …) at most doubles the number of
+//! non-zero amplitudes — which interference often cancels again.
 //!
-//! [`SparseColumn`] exploits that: the column is a map from basis index
-//! to amplitude that holds only the non-zero entries. Whether a gate
-//! branches is decided by [`qcir::fusion::gate_kernel_class`] — the
+//! [`SparseColumn`] exploits that: the column is a sorted list of
+//! `(basis index, amplitude)` pairs holding only the non-zero entries,
+//! plus a reusable scratch list, so applying an op allocates nothing
+//! once the buffers have grown. Amplitudes that cancel to an exact zero
+//! are dropped; nothing is rounded away. A [`ColumnProgram`] is a
+//! circuit lowered once to the column's ops — (control mask, target,
+//! 2×2 class) over full-width `u64` indices — so a caller running many
+//! columns through one circuit pays for the lowering once. Whether a
+//! gate branches is decided by [`qcir::fusion::gate_kernel_class`]: the
 //! [`KernelClass::General`] class is the only one that can grow the
-//! support. The column owns its branching budget: it applies at most
-//! [`MAX_COLUMN_BRANCHING`] branching ops over its lifetime, so its
-//! support never exceeds `2^MAX_COLUMN_BRANCHING` amplitudes at any
-//! width. A circuit that would overrun the budget is refused up front
-//! with [`SimError::ColumnTooBranchy`], leaving the column unchanged.
+//! support.
+//!
+//! Two budgets bound a column:
+//!
+//! * **Live support.** A column never holds more than
+//!   [`MAX_COLUMN_SUPPORT`] = `2^MAX_COLUMN_BRANCHING` amplitudes. An op
+//!   that would take it over fails with
+//!   [`SimError::ColumnSupportExceeded`] and leaves the column as it was
+//!   before that op.
+//! * **Branching, for [`SparseColumn::apply_circuit`].** That call
+//!   applies at most [`MAX_COLUMN_BRANCHING`] branching ops over the
+//!   column's lifetime and refuses a circuit that would overrun the
+//!   budget up front with [`SimError::ColumnTooBranchy`], leaving the
+//!   column unchanged. A column driven only through it therefore never
+//!   reaches the live cap, whatever interference does.
 //!
 //! The width cap is [`MAX_COLUMN_QUBITS`] = 63: the only hard limit is
 //! `u64` basis-index addressability, *not* memory.
@@ -43,25 +60,35 @@ use crate::error::SimError;
 use crate::matrix::gate_matrix;
 use qcir::fusion::{gate_kernel_class, KernelClass};
 use qcir::{Circuit, Gate, Instruction};
-use std::collections::BTreeMap;
 
 static COLUMN_OPS: qobs::Counter = qobs::Counter::new("qsim.column.ops");
 
 /// Hard width cap for sparse columns: `u64` basis indices address at
 /// most 63 qubit registers without ambiguity. Feasibility below the cap
-/// is governed by [`MAX_COLUMN_BRANCHING`], not width.
+/// is governed by the support budgets, not width.
 pub const MAX_COLUMN_QUBITS: u32 = 63;
 
 /// Most *branching* ops (H/CH/√X/Rx/Ry/U — the [`KernelClass::General`]
-/// gates that split one basis amplitude into two) a [`SparseColumn`]
-/// applies over its lifetime. Each at most doubles the support, so
-/// `2^MAX_COLUMN_BRANCHING` bounds the live amplitudes.
+/// gates that split one basis amplitude into two) that
+/// [`SparseColumn::apply_circuit`] applies over a column's lifetime.
+/// Each at most doubles the support, so `2^MAX_COLUMN_BRANCHING` bounds
+/// the live amplitudes.
 pub const MAX_COLUMN_BRANCHING: u32 = 10;
 
+/// Most amplitudes a [`SparseColumn`] holds at once (1024).
+pub const MAX_COLUMN_SUPPORT: usize = 1 << MAX_COLUMN_BRANCHING;
+
 /// The 2×2 action class of a lowered gate on its target qubit.
+#[derive(Debug, Clone, Copy)]
 enum Kind {
+    /// `amp(x) *= p` on the selected indices — a diagonal gate whose
+    /// `|0⟩` entry is 1, with the target folded into the control mask.
+    Phase(C64),
     /// Diagonal: `amp(x) *= d[x_t]`. Never changes support.
     Diag([C64; 2]),
+    /// The bit flip `x ↦ x ⊕ t` with no phase (X and its controlled
+    /// forms). Permutes support.
+    Flip,
     /// Antidiagonal: `new(x_t=0) = a[0]·old(x_t=1)`,
     /// `new(x_t=1) = a[1]·old(x_t=0)`. Permutes support.
     Anti([C64; 2]),
@@ -71,6 +98,7 @@ enum Kind {
 
 /// A gate lowered to (control mask, target, 2×2 class) over full-width
 /// `u64` basis indices.
+#[derive(Debug, Clone, Copy)]
 struct Op {
     ctrl: u64,
     target: u32,
@@ -89,11 +117,18 @@ fn classify(gate: &Gate) -> Kind {
 }
 
 fn controlled(ctrl: u64, target: u32, gate: &Gate) -> Op {
-    Op {
-        ctrl,
-        target,
-        kind: classify(gate),
-    }
+    let kind = match classify(gate) {
+        Kind::Diag([one, p]) if one == C64::ONE => {
+            return Op {
+                ctrl: ctrl | 1u64 << target,
+                target,
+                kind: Kind::Phase(p),
+            }
+        }
+        Kind::Anti(a) if a == [C64::ONE; 2] => Kind::Flip,
+        kind => kind,
+    };
+    Op { ctrl, target, kind }
 }
 
 fn cx_op(control: u32, target: u32) -> Op {
@@ -132,12 +167,41 @@ fn lower(inst: &Instruction) -> Vec<Op> {
     }
 }
 
-/// A sparse column `M|x⟩` over up to [`MAX_COLUMN_QUBITS`] qubits: the
-/// non-zero amplitudes keyed by basis index. See the module docs.
-#[derive(Debug)]
+/// A circuit lowered once to column ops, so any number of columns can
+/// run through it without re-lowering.
+#[derive(Debug, Clone)]
+pub struct ColumnProgram {
+    num_qubits: u32,
+    ops: Vec<Op>,
+    branching: u32,
+}
+
+impl ColumnProgram {
+    /// Lowers `circuit`.
+    pub fn new(circuit: &Circuit) -> Self {
+        let ops: Vec<Op> = circuit.iter().flat_map(lower).collect();
+        let branching = ops
+            .iter()
+            .filter(|op| matches!(op.kind, Kind::Dense(_)))
+            .count();
+        ColumnProgram {
+            num_qubits: circuit.num_qubits(),
+            ops,
+            branching: u32::try_from(branching).unwrap_or(u32::MAX),
+        }
+    }
+}
+
+/// A sparse column `C|x⟩` over up to [`MAX_COLUMN_QUBITS`] qubits: the
+/// non-zero amplitudes sorted by basis index. See the module docs.
+#[derive(Debug, Clone)]
 pub struct SparseColumn {
     num_qubits: u32,
-    amps: BTreeMap<u64, C64>,
+    /// No duplicate indices, no exact zeros; sorted by index between
+    /// public calls.
+    amps: Vec<(u64, C64)>,
+    /// Output buffer of branching ops, swapped with `amps`.
+    scratch: Vec<(u64, C64)>,
     branching: u32,
 }
 
@@ -159,12 +223,29 @@ impl SparseColumn {
         check_index(num_qubits, index)?;
         Ok(SparseColumn {
             num_qubits,
-            amps: BTreeMap::from([(index, C64::ONE)]),
+            amps: vec![(index, C64::ONE)],
+            scratch: Vec::new(),
             branching: 0,
         })
     }
 
-    /// Applies a circuit gate by gate.
+    /// Restarts the column at basis state `|index⟩`, keeping its
+    /// buffers, and resets its branching count.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidState`] if `index` does not name a basis
+    /// state of the register; the column is then unchanged.
+    pub fn reset(&mut self, index: u64) -> Result<(), SimError> {
+        check_index(self.num_qubits, index)?;
+        self.amps.clear();
+        self.amps.push((index, C64::ONE));
+        self.branching = 0;
+        Ok(())
+    }
+
+    /// Lowers and applies a circuit gate by gate, within the branching
+    /// budget.
     ///
     /// # Errors
     ///
@@ -173,19 +254,9 @@ impl SparseColumn {
     /// take the column past [`MAX_COLUMN_BRANCHING`]. Both are checked
     /// before any gate runs, so on error the column is unchanged.
     pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<(), SimError> {
-        if circuit.num_qubits() > self.num_qubits {
-            return Err(SimError::QubitMismatch {
-                circuit: circuit.num_qubits(),
-                state: self.num_qubits,
-            });
-        }
-        let ops: Vec<Op> = circuit.iter().flat_map(lower).collect();
-        let added = ops
-            .iter()
-            .filter(|op| matches!(op.kind, Kind::Dense(_)))
-            .count();
-        let branching =
-            u32::try_from(added).map_or(u32::MAX, |added| added.saturating_add(self.branching));
+        self.check_width(circuit.num_qubits())?;
+        let program = ColumnProgram::new(circuit);
+        let branching = program.branching.saturating_add(self.branching);
         if branching > MAX_COLUMN_BRANCHING {
             return Err(SimError::ColumnTooBranchy {
                 branching,
@@ -193,11 +264,32 @@ impl SparseColumn {
             });
         }
         self.branching = branching;
-        for op in &ops {
-            self.apply_op(op);
-            COLUMN_OPS.incr();
+        self.apply_program(&program)
+    }
+
+    /// Applies a lowered program with no branching budget: only the
+    /// live support is capped.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::QubitMismatch`] if the program is wider than the
+    /// column (checked first; the column is then unchanged);
+    /// [`SimError::ColumnSupportExceeded`] if an op would take the
+    /// support past [`MAX_COLUMN_SUPPORT`] — the column then holds the
+    /// state before that op.
+    pub fn apply_program(&mut self, program: &ColumnProgram) -> Result<(), SimError> {
+        self.check_width(program.num_qubits)?;
+        let mut applied = 0u64;
+        let result = program.ops.iter().try_for_each(|op| {
+            self.apply_op(op)?;
+            applied += 1;
+            Ok(())
+        });
+        COLUMN_OPS.add(applied);
+        if !self.amps.is_sorted_by_key(|&(index, _)| index) {
+            self.amps.sort_unstable_by_key(|&(index, _)| index);
         }
-        Ok(())
+        result
     }
 
     /// The amplitude at basis index `index` (exactly zero outside the
@@ -208,43 +300,128 @@ impl SparseColumn {
     /// [`SimError::InvalidState`] if `index` is outside the register.
     pub fn amplitude(&self, index: u64) -> Result<C64, SimError> {
         check_index(self.num_qubits, index)?;
-        Ok(self.amps.get(&index).copied().unwrap_or(C64::ZERO))
+        Ok(self
+            .amps
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .map_or(C64::ZERO, |k| self.amps[k].1))
     }
 
-    fn apply_op(&mut self, op: &Op) {
+    /// Number of non-zero amplitudes.
+    pub fn support(&self) -> usize {
+        self.amps.len()
+    }
+
+    /// The inner product `⟨self|other⟩`, summed over the indices both
+    /// supports share, in index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the registers differ in width.
+    pub fn overlap(&self, other: &SparseColumn) -> C64 {
+        assert_eq!(self.num_qubits, other.num_qubits, "size mismatch");
+        let (mut i, mut j) = (0, 0);
+        let mut sum = C64::ZERO;
+        while i < self.amps.len() && j < other.amps.len() {
+            let ((a, x), (b, y)) = (self.amps[i], other.amps[j]);
+            if a == b {
+                sum += x.conj() * y;
+            }
+            i += usize::from(a <= b);
+            j += usize::from(b <= a);
+        }
+        sum
+    }
+
+    fn check_width(&self, width: u32) -> Result<(), SimError> {
+        if width > self.num_qubits {
+            return Err(SimError::QubitMismatch {
+                circuit: width,
+                state: self.num_qubits,
+            });
+        }
+        Ok(())
+    }
+
+    /// Applies one op. The ops only need index order where pairs meet,
+    /// so the support may leave this call out of index order;
+    /// [`SparseColumn::apply_program`] restores it.
+    fn apply_op(&mut self, op: &Op) -> Result<(), SimError> {
         let bit = 1u64 << op.target;
-        if let Kind::Diag(d) = &op.kind {
-            for (&index, amp) in &mut self.amps {
-                if index & op.ctrl == op.ctrl {
-                    *amp *= d[(index & bit != 0) as usize];
+        let selected = |index: u64| index & op.ctrl == op.ctrl;
+        match &op.kind {
+            Kind::Phase(p) => {
+                for (index, amp) in &mut self.amps {
+                    if selected(*index) {
+                        *amp *= *p;
+                    }
                 }
             }
-            return;
-        }
-        // The control mask never contains the target, so both members
-        // of a pair agree on the controls.
-        let mut bases: Vec<u64> = self
-            .amps
-            .keys()
-            .filter(|&&index| index & op.ctrl == op.ctrl)
-            .map(|&index| index & !bit)
-            .collect();
-        bases.sort_unstable();
-        bases.dedup();
-        for base in bases {
-            let x = self.amps.remove(&base).unwrap_or(C64::ZERO);
-            let y = self.amps.remove(&(base | bit)).unwrap_or(C64::ZERO);
-            let (x, y) = match &op.kind {
-                Kind::Anti(a) => (a[0] * y, a[1] * x),
-                Kind::Dense(m) => (m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y),
-                Kind::Diag(_) => unreachable!("diagonal ops return above"),
-            };
-            for (index, amp) in [(base, x), (base | bit, y)] {
-                if amp != C64::ZERO {
-                    self.amps.insert(index, amp);
+            Kind::Diag(d) => {
+                for (index, amp) in &mut self.amps {
+                    if selected(*index) {
+                        *amp *= d[usize::from(*index & bit != 0)];
+                    }
                 }
             }
+            Kind::Flip => {
+                for (index, _) in &mut self.amps {
+                    if selected(*index) {
+                        *index ^= bit;
+                    }
+                }
+            }
+            Kind::Anti(a) => {
+                for (index, amp) in &mut self.amps {
+                    if selected(*index) {
+                        *amp *= a[usize::from(*index & bit == 0)];
+                        *index ^= bit;
+                    }
+                }
+            }
+            Kind::Dense(m) => {
+                // Order by pair, the bit-clear member first, so the two
+                // members of a pair sit side by side. The control mask
+                // never contains the target, so both members agree on
+                // the controls.
+                self.amps
+                    .sort_unstable_by_key(|&(index, _)| (index & !bit, index));
+                let mut out = std::mem::take(&mut self.scratch);
+                out.clear();
+                let mut rest = self.amps.iter().peekable();
+                while let Some(&(index, amp)) = rest.next() {
+                    if !selected(index) {
+                        out.push((index, amp));
+                        continue;
+                    }
+                    let (x, y) = if index & bit != 0 {
+                        (C64::ZERO, amp)
+                    } else if let Some(&(_, y)) = rest.next_if(|&&(i, _)| i == index | bit) {
+                        (amp, y)
+                    } else {
+                        (amp, C64::ZERO)
+                    };
+                    let base = index & !bit;
+                    for (index, amp) in [
+                        (base, m[0][0] * x + m[0][1] * y),
+                        (base | bit, m[1][0] * x + m[1][1] * y),
+                    ] {
+                        if amp != C64::ZERO {
+                            out.push((index, amp));
+                        }
+                    }
+                }
+                if out.len() > MAX_COLUMN_SUPPORT {
+                    let support = out.len();
+                    self.scratch = out;
+                    return Err(SimError::ColumnSupportExceeded {
+                        support,
+                        max: MAX_COLUMN_SUPPORT,
+                    });
+                }
+                self.scratch = std::mem::replace(&mut self.amps, out);
+            }
         }
+        Ok(())
     }
 }
 
@@ -363,10 +540,7 @@ mod tests {
 
     /// Branching ops a circuit lowers to.
     fn branching_ops(c: &Circuit) -> usize {
-        c.iter()
-            .flat_map(lower)
-            .filter(|op| matches!(op.kind, Kind::Dense(_)))
-            .count()
+        ColumnProgram::new(c).branching as usize
     }
 
     #[test]
@@ -405,6 +579,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_program_serves_every_column() {
+        // Lower once, reset and rerun: every column must match the
+        // statevector's, and overlaps must match its inner product.
+        for n in [4u32, 6] {
+            let (a, b) = (mixed_circuit(n, 7 + u64::from(n)), mixed_circuit(n, 9));
+            let (pa, pb) = (ColumnProgram::new(&a), ColumnProgram::new(&b));
+            let mut ca = SparseColumn::basis(n, 0).unwrap();
+            let mut cb = ca.clone();
+            for input in 0..1u64 << n {
+                let mut sa = Statevector::basis(n, input as usize).unwrap();
+                sa.apply_circuit(&a).unwrap();
+                let mut sb = Statevector::basis(n, input as usize).unwrap();
+                sb.apply_circuit(&b).unwrap();
+                ca.reset(input).unwrap();
+                ca.apply_program(&pa).unwrap();
+                cb.reset(input).unwrap();
+                cb.apply_program(&pb).unwrap();
+                assert!(ca.amps.is_sorted_by_key(|&(index, _)| index));
+                for index in 0..1u64 << n {
+                    let dense = sa.amplitudes()[index as usize];
+                    assert!(dense.approx_eq(ca.amplitude(index).unwrap(), 1e-10));
+                }
+                assert!(sa.inner(&sb).approx_eq(ca.overlap(&cb), 1e-10));
+            }
+        }
+    }
+
+    #[test]
+    fn support_cap_is_a_typed_error_that_keeps_the_prior_state() {
+        // A program has no branching budget, only the live cap: ten H
+        // gates reach it exactly, the eleventh would double past it.
+        let mut spread = Circuit::new(12);
+        for q in 0..10 {
+            spread.h(q);
+        }
+        let mut col = SparseColumn::basis(12, 0).unwrap();
+        col.apply_program(&ColumnProgram::new(&spread)).unwrap();
+        assert_eq!(col.support(), MAX_COLUMN_SUPPORT);
+        let before = col.amps.clone();
+        let mut more = Circuit::new(12);
+        more.x(11).h(10).h(11);
+        assert_eq!(
+            col.apply_program(&ColumnProgram::new(&more)),
+            Err(SimError::ColumnSupportExceeded {
+                support: 2 * MAX_COLUMN_SUPPORT,
+                max: MAX_COLUMN_SUPPORT,
+            })
+        );
+        // The X before the failing H ran; nothing after it did.
+        let flipped: Vec<_> = before.iter().map(|&(i, a)| (i | 1 << 11, a)).collect();
+        assert_eq!(col.amps, flipped);
+        // A program wider than the column is refused before any op.
+        let mut narrow = SparseColumn::basis(4, 0).unwrap();
+        assert_eq!(
+            narrow.apply_program(&ColumnProgram::new(&spread)),
+            Err(SimError::QubitMismatch {
+                circuit: 12,
+                state: 4
+            })
+        );
+        assert_eq!(narrow.amps, vec![(0, C64::ONE)]);
     }
 
     #[test]

@@ -30,6 +30,16 @@ pub enum SimError {
         /// The budget, `column::MAX_COLUMN_BRANCHING`.
         max: u32,
     },
+    /// An op would have taken a sparse basis column past its live
+    /// support cap, `column::MAX_COLUMN_SUPPORT` amplitudes — or past a
+    /// caller's tighter budget. The column keeps the state before that
+    /// op.
+    ColumnSupportExceeded {
+        /// Non-zero amplitudes the column would have held.
+        support: usize,
+        /// The cap that was exceeded.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -49,6 +59,10 @@ impl fmt::Display for SimError {
             SimError::ColumnTooBranchy { branching, max } => write!(
                 f,
                 "basis column needs {branching} branching gates, over the budget of {max}"
+            ),
+            SimError::ColumnSupportExceeded { support, max } => write!(
+                f,
+                "basis column support of {support} amplitudes exceeds the cap of {max}"
             ),
         }
     }

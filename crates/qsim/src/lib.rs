@@ -15,8 +15,10 @@
 //! * [`unitary`] — full-unitary extraction and equivalence checking used to
 //!   *prove* de-obfuscation correctness in tests.
 //! * [`mod@column`] — sparse single-column simulation
-//!   ([`SparseColumn`]) for witness replay on registers far past the
-//!   dense cap: memory scales with amplitude support, not width.
+//!   ([`SparseColumn`] over a once-lowered [`ColumnProgram`]) for the
+//!   verifier's exhaustive column pass and for witness replay on
+//!   registers far past the dense cap: memory scales with amplitude
+//!   support, not width.
 //! * [`noise`] — stochastic Pauli + readout error model (the Monte-Carlo
 //!   equivalent of Qiskit's depolarizing/readout noise).
 //! * [`Device`] — backend models, including [`Device::fake_valencia`]
@@ -61,7 +63,10 @@ pub mod sampler;
 pub mod statevector;
 pub mod unitary;
 
-pub use column::{basis_column_amplitude, SparseColumn, MAX_COLUMN_BRANCHING, MAX_COLUMN_QUBITS};
+pub use column::{
+    basis_column_amplitude, ColumnProgram, SparseColumn, MAX_COLUMN_BRANCHING, MAX_COLUMN_QUBITS,
+    MAX_COLUMN_SUPPORT,
+};
 pub use complex::C64;
 pub use density::DensityMatrix;
 pub use device::Device;

@@ -6,16 +6,27 @@
 //! two circuits implement the same unitary (up to global phase)? Dense
 //! unitary extraction answers it exactly but dies at
 //! [`MAX_UNITARY_QUBITS`] qubits. This crate answers it through a
-//! *tiered* strategy instead, picking the cheapest decision procedure
-//! that applies:
+//! *tiered* strategy instead, trying the cheapest decision procedure
+//! that applies first, in this order:
 //!
 //! | Tier | Applies when | Cost | Verdict quality |
 //! |---|---|---|---|
 //! | [`Tier::Classical`] | both circuits are classical reversible, ≤ [`CLASSICAL_EXHAUSTIVE_MAX_QUBITS`] qubits | `O(2ⁿ·gates)` bit ops | exact (exhaustive) |
 //! | [`Tier::Tableau`] | both circuits are Clifford | `O(n·gates)` words | exact (stabilizer) |
+//! | [`Tier::Dense`], sparse pass | ≤ [`MAX_UNITARY_QUBITS`] qubits and every column within its support budget (≤ [`MAX_COLUMN_SUPPORT`] amplitudes, ≤ half the register) | `O(2ⁿ·gates·support)` | exact (every column) |
 //! | [`Tier::Zx`] | the miter diagram reduces to the identity, or its residue yields a replay-confirmed witness | `O(gates²)` graph rewriting (+ a few replays) | exact, two-sided |
-//! | [`Tier::Dense`] | ≤ [`MAX_UNITARY_QUBITS`] qubits | `O(4ⁿ·gates)` | exact (full unitary) |
+//! | [`Tier::Dense`], statevector pass | ≤ [`MAX_UNITARY_QUBITS`] qubits | `O(4ⁿ·gates)` | exact (every column) |
 //! | [`Tier::Stimulus`] | ≤ [`MAX_STIMULUS_QUBITS`] qubits | `O(trials·2ⁿ·gates)`, parallel | statistical (miter) |
+//!
+//! The **dense** tier compares the two circuits column by column: basis
+//! input `x` through both, then the overlap `⟨C₁·x|C₂·x⟩`. Its sparse
+//! pass runs the columns on [`qsim::SparseColumn`] before ZX is tried.
+//! Near-classical pairs — reversible logic compiled to H/T/CX, every
+//! restored Table I circuit and every wrong key — keep a handful of
+//! amplitudes per column and are decided there without building a ZX
+//! graph. A column that outgrows its support budget stops the pass
+//! without a verdict (at the first such column, often column 0 for
+//! branchy pairs); ZX then runs, and after it the statevector pass.
 //!
 //! The **tableau** tier is an Aaronson–Gottesman stabilizer engine: it
 //! conjugates the `2n` Pauli generators through `C₂†C₁` in `O(n)` per
@@ -81,7 +92,7 @@ use std::fmt;
 
 pub use qsim::statevector::MAX_QUBITS as MAX_STIMULUS_QUBITS;
 pub use qsim::unitary::MAX_UNITARY_QUBITS;
-pub use qsim::MAX_COLUMN_QUBITS;
+pub use qsim::{MAX_COLUMN_QUBITS, MAX_COLUMN_SUPPORT};
 
 /// Largest register for which the classical tier enumerates every basis
 /// input (`2¹⁶` evaluations per circuit); beyond it classical circuits
@@ -194,8 +205,9 @@ pub enum Tier {
     /// residue can certify [`Verdict::Inequivalent`], but only through
     /// a replay-confirmed basis witness.
     Zx,
-    /// Dense full-unitary extraction (the ≤ [`MAX_UNITARY_QUBITS`]-qubit
-    /// fallback).
+    /// Exhaustive column-by-column comparison within
+    /// [`MAX_UNITARY_QUBITS`] qubits: a sparse pass before ZX, a
+    /// statevector pass after it.
     Dense,
     /// Randomized product-state miter, parallel across threads.
     Stimulus,
@@ -592,6 +604,13 @@ impl Verifier {
         {
             return report;
         }
+        if n <= MAX_UNITARY_QUBITS {
+            if let Some(report) = tier_attempt(Tier::Dense, || {
+                self.check_dense_sparse(original, candidate).ok()
+            }) {
+                return report;
+            }
+        }
         if let Some(report) = tier_attempt(Tier::Zx, || self.check_zx(original, candidate)) {
             return report;
         }
@@ -651,8 +670,31 @@ impl Verifier {
         zx::check(original, candidate, self.eps)
     }
 
-    /// Forces the dense-unitary tier (the exhaustive ≤
-    /// [`MAX_UNITARY_QUBITS`]-qubit fallback).
+    /// Forces the dense tier's sparse pass: every basis column of both
+    /// circuits on a [`qsim::SparseColumn`], each circuit lowered once.
+    /// Whenever it decides, its verdict and witness inputs are those of
+    /// [`Verifier::check_dense`] (a basis-column overlap may differ in
+    /// its last bits: the statevector kernels fuse gates).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`qsim::SimError::TooManyQubits`] past the dense cap, and
+    /// [`qsim::SimError::ColumnSupportExceeded`] — no verdict — when a
+    /// column holds more than [`MAX_COLUMN_SUPPORT`] amplitudes or more
+    /// than half of the register's basis states.
+    pub fn check_dense_sparse(
+        &self,
+        original: &Circuit,
+        candidate: &Circuit,
+    ) -> Result<Report, qsim::SimError> {
+        if original.num_qubits() != candidate.num_qubits() {
+            return Ok(mismatch_report(original, candidate));
+        }
+        dense::check_sparse(original, candidate, self.eps)
+    }
+
+    /// Forces the dense tier's statevector pass: every basis column of
+    /// both circuits through a full `2ⁿ`-amplitude statevector.
     ///
     /// # Errors
     ///
@@ -761,15 +803,35 @@ mod tests {
     #[test]
     fn zx_tier_selected_for_non_clifford_identity_pair() {
         // Non-Clifford (T, CCX) and syntactically different: tableau
-        // refuses, ZX reduces the miter and decides before dense.
+        // refuses, ZX reduces the miter on its own.
         let mut a = Circuit::new(3);
         a.h(0).t(1).ccx(0, 1, 2);
         let mut b = a.clone();
         b.s(2).sdg(2);
-        let report = Verifier::new().check_report(&a, &b);
+        let verifier = Verifier::new();
+        let report = verifier.check_zx(&a, &b).expect("the miter reduces");
         assert_eq!(report.tier, Tier::Zx);
         assert!(report.verdict.is_equivalent());
         assert_eq!(report.confidence(), 1.0);
+        // In dispatch the pair is near-classical (two amplitudes per
+        // column), so the sparse dense pass decides it before ZX runs.
+        let report = verifier.check_report(&a, &b);
+        assert_eq!(report.tier, Tier::Dense);
+        assert!(report.verdict.is_equivalent());
+        // With an H on every wire a column fills the whole register:
+        // the sparse pass hands over and ZX decides before the
+        // statevector pass.
+        let mut a = Circuit::new(3);
+        a.h(0).h(1).h(2).t(1).ccx(0, 1, 2);
+        let mut b = a.clone();
+        b.s(2).sdg(2);
+        assert!(matches!(
+            verifier.check_dense_sparse(&a, &b),
+            Err(qsim::SimError::ColumnSupportExceeded { support: 8, max: 4 })
+        ));
+        let report = verifier.check_report(&a, &b);
+        assert_eq!(report.tier, Tier::Zx);
+        assert!(report.verdict.is_equivalent());
     }
 
     #[test]
@@ -855,27 +917,33 @@ mod tests {
         // A genuinely different pair whose residue is purely diagonal:
         // no single basis input can see it (every basis ray is fixed),
         // but two basis eigenvectors pick up *different* phases, and
-        // the phase replay certifies exactly that. Historically this
-        // shape fell through to the dense tier; now ZX decides it.
+        // the phase replay certifies exactly that.
         let mut a = Circuit::new(2);
         a.t(0);
         let mut b = Circuit::new(2);
         b.t(1);
-        let report = Verifier::new().check_report(&a, &b);
+        let verifier = Verifier::new();
+        let witness = Witness::RelativePhase {
+            input_a: 0,
+            input_b: 0b01,
+        };
+        let report = verifier
+            .check_zx(&a, &b)
+            .expect("the phase replay confirms");
         assert_eq!(report.tier, Tier::Zx, "{report}");
-        assert!(
-            matches!(
-                report.verdict,
-                Verdict::Inequivalent {
-                    witness: Witness::RelativePhase {
-                        input_a: 0,
-                        input_b: 0b01
-                    }
-                }
-            ),
+        assert_eq!(
+            report.verdict,
+            Verdict::Inequivalent {
+                witness: witness.clone()
+            },
             "{report}"
         );
         assert_eq!(report.confidence(), 1.0);
+        // In dispatch the sparse dense pass meets the same two columns
+        // first and reports the same witness.
+        let report = verifier.check_report(&a, &b);
+        assert_eq!(report.tier, Tier::Dense, "{report}");
+        assert_eq!(report.verdict, Verdict::Inequivalent { witness });
     }
 
     #[test]

@@ -29,7 +29,8 @@
 
 use qcir::{Circuit, Gate};
 use qsim::unitary::equivalent_up_to_phase;
-use qverify::{Tier, Verdict, Verifier};
+use qsim::SimError;
+use qverify::{Tier, Verdict, Verifier, Witness, MAX_UNITARY_QUBITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use revlib::classical_eval_bits;
@@ -243,6 +244,15 @@ fn check_case(name: &str, a: &Circuit, b: &Circuit, expected: bool, must_decide:
     if let Some(report) = verifier.check_zx(a, b) {
         verdicts.push(("zx", decisive(&report.verdict).expect("zx is exact")));
     }
+    // The dense tier's sparse pass, wherever it does not hand over.
+    if n <= MAX_UNITARY_QUBITS {
+        if let Ok(report) = verifier.check_dense_sparse(a, b) {
+            verdicts.push((
+                "dense-sparse",
+                decisive(&report.verdict).expect("dense is exact"),
+            ));
+        }
+    }
     // Dense ground truth where the unitary is small enough to be cheap
     // across a 200+ pair sweep.
     if n <= 9 {
@@ -415,6 +425,129 @@ fn wide_bounded_branching_clifford_t_pairs_stay_decided_to_32_qubits() {
             );
         }
     }
+}
+
+/// Appends the H/T/CX network of a Toffoli on `(a, b; c)`.
+fn decomposed_ccx(c: &mut Circuit, a: u32, b: u32, t: u32) {
+    c.h(t)
+        .cx(b, t)
+        .tdg(t)
+        .cx(a, t)
+        .t(t)
+        .cx(b, t)
+        .tdg(t)
+        .cx(a, t);
+    c.t(b).t(t).h(t).cx(a, b).t(a).tdg(b).cx(a, b);
+}
+
+/// Seeded near-classical pair families of `n` wires, each an
+/// equivalent pair followed by one wrong key (a stray inverter on a
+/// seeded wire, the shape of a wrong placement):
+///
+/// * a reversible ladder (CX/CCX rungs, seeded X and Swap garnish)
+///   against itself with a canceling CX pair inserted;
+/// * a Toffoli ladder against the same ladder with every CCX
+///   decomposed to H/T/CX — the shape of a compiled restore.
+fn near_classical_pairs(n: u32, seed: u64) -> Vec<(String, Circuit, Circuit, bool)> {
+    let mut rng = StdRng::seed_from_u64(seed * 5000 + u64::from(n));
+    let mut ladder = Circuit::new(n);
+    let mut toffoli = Circuit::new(n);
+    let mut decomposed = Circuit::new(n);
+    for q in 0..n - 2 {
+        ladder.cx(q, q + 1).ccx(q, q + 1, q + 2);
+        if rng.gen_bool(0.5) {
+            ladder.x(rng.gen_range(0..n));
+        } else {
+            let a = rng.gen_range(0..n);
+            ladder.swap(a, distinct(&mut rng, n, &[a]));
+        }
+        let a = rng.gen_range(0..n);
+        let b = distinct(&mut rng, n, &[a]);
+        let t = distinct(&mut rng, n, &[a, b]);
+        toffoli.ccx(a, b, t).cx(t, a);
+        decomposed_ccx(&mut decomposed, a, b, t);
+        decomposed.cx(t, a);
+    }
+    let mut ladder_equal = ladder.clone();
+    let (a, b) = (rng.gen_range(0..n - 1), n - 1);
+    ladder_equal.cx(a, b).cx(a, b);
+    let mut ladder_wrong = ladder.clone();
+    ladder_wrong.x(rng.gen_range(0..n));
+    let mut decomposed_wrong = decomposed.clone();
+    decomposed_wrong.x(rng.gen_range(0..n));
+    vec![
+        ("ladder/equal".into(), ladder.clone(), ladder_equal, true),
+        ("ladder/wrong_key".into(), ladder, ladder_wrong, false),
+        ("toffoli/equal".into(), toffoli.clone(), decomposed, true),
+        ("toffoli/wrong_key".into(), toffoli, decomposed_wrong, false),
+    ]
+}
+
+/// Same witness: the same shape on the same basis inputs. A
+/// basis-column overlap is compared to within `EPS`, since the
+/// statevector kernels may fuse gates and round differently.
+fn same_witness(a: &Verdict, b: &Verdict) -> bool {
+    match (a, b) {
+        (
+            Verdict::Inequivalent {
+                witness:
+                    Witness::BasisColumn {
+                        input: x,
+                        overlap: p,
+                    },
+            },
+            Verdict::Inequivalent {
+                witness:
+                    Witness::BasisColumn {
+                        input: y,
+                        overlap: q,
+                    },
+            },
+        ) => x == y && (p - q).abs() <= EPS,
+        _ => a == b,
+    }
+}
+
+#[test]
+fn sparse_dense_pass_matches_the_statevector_pass_on_near_classical_pairs() {
+    // 40 pairs, 3 to 12 wires: the dense tier's two passes must reach
+    // the same verdict with the same witness, and the sparse pass must
+    // never hand a near-classical pair over.
+    let verifier = Verifier::new();
+    for &(n, seeds) in &[(3u32, 3u64), (6, 3), (9, 3), (MAX_UNITARY_QUBITS, 1)] {
+        for seed in 0..seeds {
+            for (family, a, b, expected) in near_classical_pairs(n, seed) {
+                let name = format!("{family}/{n}q/s{seed}");
+                let sparse = verifier
+                    .check_dense_sparse(&a, &b)
+                    .unwrap_or_else(|e| panic!("{name}: sparse pass handed over: {e}"));
+                let dense = verifier.check_dense(&a, &b).expect("within the dense cap");
+                assert_eq!(sparse.tier, Tier::Dense);
+                assert_eq!(decisive(&dense.verdict), Some(expected), "{name}: {dense}");
+                assert!(
+                    same_witness(&sparse.verdict, &dense.verdict),
+                    "{name}: sparse {sparse} vs statevector {dense}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sparse_dense_pass_hands_over_instead_of_guessing() {
+    // A branchy pair: with an H on every wire the first column fills
+    // the register, so the pass stops with the typed error — it never
+    // returns a verdict it did not compute column by column.
+    let n = 10u32;
+    let mut a = Circuit::new(n);
+    for q in 0..n {
+        a.h(q).rz(0.1 * f64::from(q + 1), q);
+    }
+    let b = a.clone();
+    assert!(matches!(
+        Verifier::new().check_dense_sparse(&a, &b),
+        Err(SimError::ColumnSupportExceeded { .. })
+    ));
 }
 
 #[test]

@@ -54,23 +54,31 @@ fn full_pipeline_trace_is_schema_valid_and_parseable() {
     let report = qverify::Verifier::new().check_report(&circuit, &restored);
     assert!(report.verdict.is_equivalent());
 
-    // A phase-only inequivalent pair: the ZX tier certifies it through
-    // the phase replay, so the witness counters land in this trace.
+    // A phase-only inequivalent pair, forced through the ZX tier: it
+    // certifies the pair through the phase replay, so the witness
+    // counters land in this trace. (In dispatch the dense tier's
+    // sparse pass would decide a pair this small first.)
     let mut t = Circuit::new(2);
     t.t(0);
     let mut tdg = Circuit::new(2);
     tdg.tdg(0);
-    let phase = qverify::Verifier::new().check_report(&t, &tdg);
+    let phase = qverify::Verifier::new()
+        .check_zx(&t, &tdg)
+        .expect("the phase replay confirms");
     assert_eq!(phase.tier, qverify::Tier::Zx);
     assert!(phase.verdict.is_inequivalent());
 
-    // A deliberately inequivalent dense-tier check so the statevector
-    // kernels run inside this same trace: the 8-control mcx refuses ZX
-    // translation, so the miter never becomes a diagram and the dense
-    // tier decides.
+    // A deliberately inequivalent branchy pair so the statevector
+    // kernels run inside this same trace: an H on every wire fills
+    // column 0, so the sparse pass hands over; the 8-control mcx
+    // refuses ZX translation, so the miter never becomes a diagram;
+    // and the statevector pass decides.
     let mut wide = Circuit::new(9);
+    for q in 0..9 {
+        wide.h(q);
+    }
+    let mut wide_bad = wide.clone();
     wide.mcx(&[0, 1, 2, 3, 4, 5, 6, 7], 8).t(8);
-    let mut wide_bad = Circuit::new(9);
     wide_bad.mcx(&[0, 1, 2, 3, 4, 5, 6, 7], 8).tdg(8);
     let dense = qverify::Verifier::new().check_report(&wide, &wide_bad);
     assert_eq!(dense.tier, qverify::Tier::Dense);
@@ -107,6 +115,7 @@ fn full_pipeline_trace_is_schema_valid_and_parseable() {
         "\"name\":\"verify.tier\"",
         "\"tier\":\"dense\"",
         "\"outcome\":\"decided\"",
+        "\"outcome\":\"fell_through\"",
         "qsim.kernel.",
         "qverify.tier.dense.entered",
         "qverify.tier.dense.elapsed_us",

@@ -411,19 +411,30 @@ fn t_versus_tdg_certified_with_relative_phase_witness() {
     a.t(0);
     let mut b = Circuit::new(1);
     b.tdg(0);
-    let report = Verifier::new().check_report(&a, &b);
+    let verifier = Verifier::new();
+    let witness = Witness::RelativePhase {
+        input_a: 0,
+        input_b: 1,
+    };
+    let report = verifier
+        .check_zx(&a, &b)
+        .expect("the phase replay confirms");
     assert_eq!(report.tier, Tier::Zx, "{report}");
     assert_eq!(report.confidence(), 1.0);
-    assert!(
-        matches!(
-            report.verdict,
-            Verdict::Inequivalent {
-                witness: Witness::RelativePhase {
-                    input_a: 0,
-                    input_b: 1
-                }
-            }
-        ),
+    assert_eq!(
+        report.verdict,
+        Verdict::Inequivalent {
+            witness: witness.clone()
+        },
+        "{report}"
+    );
+    // In dispatch the dense tier's sparse pass runs first on a pair
+    // this small and reports the same witness.
+    let report = verifier.check_report(&a, &b);
+    assert_eq!(report.tier, Tier::Dense, "{report}");
+    assert_eq!(
+        report.verdict,
+        Verdict::Inequivalent { witness },
         "{report}"
     );
 }
