@@ -28,7 +28,10 @@
 //! consumers can no longer read. `detected_workers` reports the
 //! engine's resolved worker count ([`qsim::resolved_workers`]) —
 //! `QSIM_WORKERS` override, detected parallelism, `MAX_WORKERS`
-//! clamp — not the raw hardware parallelism.
+//! clamp — not the raw hardware parallelism. `kernel_path` records
+//! which arithmetic path the kernels took on this CPU
+//! ([`qsim::kernel_path`]: `"avx2"` or `"scalar"`), since the same
+//! build runs 2–3× apart on the two.
 
 use qcir::random::RandomCircuitConfig;
 use qsim::statevector::{ExecConfig, Statevector, MAX_QUBITS, PARALLEL_MIN_QUBITS};
@@ -197,12 +200,14 @@ fn render_json(cases: &[CaseResult], smoke: bool) -> String {
     format!(
         "{{\n  \"suite\": \"qsim_statevector\",\n  \"schema_version\": 1,\n  \
          \"smoke\": {smoke},\n  \"engine\": {{\"max_qubits\": {}, \
-         \"parallel_min_qubits\": {}, \"detected_workers\": {}}},\n  \"cases\": [\n{body}  ]\n}}\n",
+         \"parallel_min_qubits\": {}, \"detected_workers\": {}, \"kernel_path\": \"{}\"}},\n  \
+         \"cases\": [\n{body}  ]\n}}\n",
         MAX_QUBITS,
         PARALLEL_MIN_QUBITS,
         // The engine's own resolution (QSIM_WORKERS override, detected
         // parallelism, MAX_WORKERS clamp) — the count the kernels
         // actually use, not the raw hardware report.
         qsim::resolved_workers(),
+        qsim::kernel_path(),
     )
 }

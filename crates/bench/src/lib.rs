@@ -436,9 +436,9 @@ pub mod schema {
 
     /// Checks that `json` has the `BENCH_qsim.json` schema-version-1
     /// shape: the suite/header fields, an `engine` block whose
-    /// `detected_workers` is at least 1, and a non-empty case list in
-    /// which every case carries all eight per-case keys and a numeric
-    /// `fused_ms`.
+    /// `detected_workers` is at least 1 and whose `kernel_path` is
+    /// `"avx2"` or `"scalar"`, and a non-empty case list in which every
+    /// case carries all eight per-case keys and a numeric `fused_ms`.
     ///
     /// # Example
     ///
@@ -449,7 +449,7 @@ pub mod schema {
     ///     "{\n  \"suite\": \"qsim_statevector\",\n  \"schema_version\": 1,\n",
     ///     "  \"smoke\": true,\n",
     ///     "  \"engine\": {\"max_qubits\": 28, \"parallel_min_qubits\": 18, ",
-    ///     "\"detected_workers\": 4},\n  \"cases\": [\n",
+    ///     "\"detected_workers\": 4, \"kernel_path\": \"avx2\"},\n  \"cases\": [\n",
     ///     "    {\"name\": \"rd53\", \"qubits\": 7, \"gates\": 12, \"reps\": 3, ",
     ///     "\"fused_ms\": 0.5, \"unfused_ms\": 0.6, \"naive_ms\": 1.0, ",
     ///     "\"speedup_vs_naive\": 2.00}\n  ]\n}\n",
@@ -468,6 +468,11 @@ pub mod schema {
         let workers = uint_field(json, "detected_workers")?;
         if workers == 0 {
             return Err("\"detected_workers\" must be at least 1".into());
+        }
+        if !json.contains("\"kernel_path\": \"avx2\"")
+            && !json.contains("\"kernel_path\": \"scalar\"")
+        {
+            return Err("\"kernel_path\" must be \"avx2\" or \"scalar\"".into());
         }
         if parallel_min > max_qubits {
             return Err(format!(
@@ -528,7 +533,7 @@ pub mod schema {
                 "{\n  \"suite\": \"qsim_statevector\",\n  \"schema_version\": 1,\n",
                 "  \"smoke\": false,\n",
                 "  \"engine\": {\"max_qubits\": 28, \"parallel_min_qubits\": 18, ",
-                "\"detected_workers\": 4},\n  \"cases\": [\n",
+                "\"detected_workers\": 4, \"kernel_path\": \"avx2\"},\n  \"cases\": [\n",
                 "    {\"name\": \"rd53\", \"qubits\": 7, \"gates\": 12, \"reps\": 3, ",
                 "\"fused_ms\": 0.5, \"unfused_ms\": 0.6, \"naive_ms\": 1.0, ",
                 "\"speedup_vs_naive\": 2.00},\n",
@@ -566,6 +571,20 @@ pub mod schema {
             assert!(validate_qsim_bench_json(&doc)
                 .unwrap_err()
                 .contains("no case objects"));
+        }
+
+        #[test]
+        fn kernel_path_must_name_a_path() {
+            let scalar = valid_doc().replace("\"avx2\"", "\"scalar\"");
+            validate_qsim_bench_json(&scalar).expect("the scalar path is valid");
+            let unknown = valid_doc().replace("\"avx2\"", "\"neon\"");
+            assert!(validate_qsim_bench_json(&unknown)
+                .unwrap_err()
+                .contains("kernel_path"));
+            let missing = valid_doc().replace(", \"kernel_path\": \"avx2\"", "");
+            assert!(validate_qsim_bench_json(&missing)
+                .unwrap_err()
+                .contains("kernel_path"));
         }
 
         #[test]

@@ -3,6 +3,7 @@
 use crate::error::CircuitError;
 use crate::gate::Gate;
 use crate::qubit::Qubit;
+use serde::codec::{DecodeError, Decoder};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -19,10 +20,22 @@ use std::fmt;
 /// assert_eq!(inst.qubits().len(), 2);
 /// # Ok::<(), qcir::CircuitError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Instruction {
     gate: Gate,
     qubits: Vec<Qubit>,
+}
+
+/// Decoding goes through [`Instruction::new`], so a checkpoint cannot
+/// carry an instruction the constructor refuses (a NaN angle, a wrong
+/// operand count, a repeated qubit): it is a [`DecodeError::Invalid`]. The wire format is the derived one — the
+/// gate, then the operand list.
+impl<'de> Deserialize<'de> for Instruction {
+    fn deserialize(dec: &mut Decoder<'de>) -> Result<Self, DecodeError> {
+        let gate = Gate::deserialize(dec)?;
+        let qubits = Vec::<Qubit>::deserialize(dec)?;
+        Instruction::new(gate, qubits).map_err(|err| DecodeError::invalid("Instruction", err))
+    }
 }
 
 impl Instruction {
@@ -154,7 +167,7 @@ impl fmt::Display for Instruction {
 /// assert_eq!(c.depth(), 3);
 /// assert_eq!(c.count_multi_qubit_gates(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Circuit {
     num_qubits: u32,
     name: String,
@@ -164,6 +177,35 @@ pub struct Circuit {
     // it per `apply_circuit` call to skip the fusion rewrite outright
     // for circuits that cannot contain a fusable run.
     oneq_gates: usize,
+}
+
+/// Decoding rebuilds the circuit through [`Circuit::push`], so a
+/// decoded circuit has at least one wire, every operand in range and a
+/// single-qubit count that matches its instructions, or is a
+/// [`DecodeError::Invalid`]. The wire format is the derived one, field
+/// by field.
+impl<'de> Deserialize<'de> for Circuit {
+    fn deserialize(dec: &mut Decoder<'de>) -> Result<Self, DecodeError> {
+        let num_qubits = u32::deserialize(dec)?;
+        let name = String::deserialize(dec)?;
+        let instructions = Vec::<Instruction>::deserialize(dec)?;
+        let oneq_gates = usize::deserialize(dec)?;
+        let invalid = |reason: &dyn fmt::Display| DecodeError::invalid("Circuit", reason);
+        if num_qubits == 0 {
+            return Err(invalid(&"a circuit needs at least one qubit"));
+        }
+        let mut circuit = Circuit::with_name(num_qubits, name);
+        for inst in instructions {
+            circuit.push(inst).map_err(|err| invalid(&err))?;
+        }
+        if circuit.oneq_gates != oneq_gates {
+            return Err(invalid(&format!(
+                "stored single-qubit gate count {oneq_gates}, but {} decoded",
+                circuit.oneq_gates
+            )));
+        }
+        Ok(circuit)
+    }
 }
 
 impl Circuit {
@@ -884,5 +926,74 @@ mod tests {
         let inst = c.instruction(0).unwrap();
         assert_eq!(inst.controls(), &[Qubit::new(2), Qubit::new(0)]);
         assert_eq!(inst.target(), Qubit::new(1));
+    }
+
+    /// `Circuit`'s wire layout with no validation: what a hand-edited
+    /// or foreign checkpoint can hold.
+    #[derive(Serialize)]
+    struct RawCircuit {
+        num_qubits: u32,
+        name: String,
+        instructions: Vec<RawInstruction>,
+        oneq_gates: usize,
+    }
+
+    #[derive(Serialize)]
+    struct RawInstruction {
+        gate: Gate,
+        qubits: Vec<Qubit>,
+    }
+
+    fn raw(num_qubits: u32, gates: &[(Gate, &[u32])], oneq_gates: usize) -> Vec<u8> {
+        let instructions = gates
+            .iter()
+            .map(|(gate, wires)| RawInstruction {
+                gate: gate.clone(),
+                qubits: wires.iter().copied().map(Qubit::new).collect(),
+            })
+            .collect();
+        serde::to_bytes(&RawCircuit {
+            num_qubits,
+            name: "raw".into(),
+            instructions,
+            oneq_gates,
+        })
+    }
+
+    fn decode_error(bytes: &[u8]) -> (&'static str, String) {
+        match serde::from_bytes::<Circuit>(bytes) {
+            Err(DecodeError::Invalid { type_name, reason }) => (type_name, reason),
+            other => panic!("expected DecodeError::Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoding_validates_like_the_constructors() {
+        let mut c = Circuit::with_name(3, "raw");
+        c.rz(0.5, 1).cx(1, 2);
+        let good = raw(3, &[(Gate::Rz(0.5), &[1]), (Gate::CX, &[1, 2])], 1);
+        assert_eq!(
+            good,
+            serde::to_bytes(&c),
+            "the raw layout is the wire format"
+        );
+        assert_eq!(serde::from_bytes::<Circuit>(&good).unwrap(), c);
+
+        let (ty, reason) = decode_error(&raw(3, &[(Gate::Rz(f64::NAN), &[1])], 1));
+        assert_eq!(ty, "Instruction");
+        assert!(reason.contains("non-finite"), "{reason}");
+        let (ty, _) = decode_error(&raw(3, &[(Gate::CX, &[1, 1])], 0));
+        assert_eq!(ty, "Instruction");
+        let (ty, _) = decode_error(&raw(3, &[(Gate::CX, &[1])], 0));
+        assert_eq!(ty, "Instruction");
+
+        let (ty, reason) = decode_error(&raw(2, &[(Gate::CX, &[1, 2])], 0));
+        assert_eq!(ty, "Circuit");
+        assert!(reason.contains("out of range"), "{reason}");
+        let (ty, _) = decode_error(&raw(0, &[], 0));
+        assert_eq!(ty, "Circuit");
+        let (ty, reason) = decode_error(&raw(3, &[(Gate::H, &[0])], 7));
+        assert_eq!(ty, "Circuit");
+        assert!(reason.contains("single-qubit gate count 7"), "{reason}");
     }
 }

@@ -28,7 +28,11 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert_eq!(i * i, -C64::ONE);
 /// assert!((C64::from_polar(1.0, std::f64::consts::PI).re + 1.0).abs() < 1e-15);
 /// ```
+///
+/// `repr(C)`: the layout is `re` then `im`, so a `[C64]` is interleaved
+/// `f64` pairs that the kernels' AVX2 path loads two at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[repr(C)]
 pub struct C64 {
     /// Real part.
     pub re: f64,

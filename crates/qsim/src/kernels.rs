@@ -35,14 +35,24 @@
 //! halves, preserving full parallelism for top-bit targets; the rarer
 //! Swap/CSwap/CY/CH kernels simply degrade to fewer chunks there.
 //!
-//! The arithmetic-heavy inner loops (pair rotation, antidiagonal, and
-//! diagonal scaling) are blocked into fixed-width lanes of [`LANES`]
-//! amplitudes so the autovectorizer sees straight-line independent
-//! complex multiplies; the remainder path reuses the *same*
-//! `#[inline(always)]` per-element formula, so lane and scalar paths
-//! are bit-identical — the determinism contract (same amplitudes for
-//! any worker count or chunk layout) is enforced by the equivalence
-//! suite, not by inspecting the generated assembly.
+//! The arithmetic-heavy inner loops (pair rotation, antidiagonal
+//! cross-multiply, diagonal scaling) have two forms, chosen per call
+//! by a run-time CPU check ([`path`] reports which):
+//!
+//! * an explicit AVX2 form (x86-64 CPUs that report `avx2` at run
+//!   time), where one 256-bit register holds two interleaved `C64`s:
+//!   two stride pairs at once, or — at target bit 0, where a pair is
+//!   two adjacent amplitudes — one whole `(lo, hi)` pair;
+//! * the portable [`scalar`] loops, blocked into [`LANES`]-wide groups
+//!   for the autovectorizer, on every other CPU.
+//!
+//! The two forms are bit-identical. Every lane of the AVX2 form runs
+//! the scalar `C64` product's own IEEE operations — `c.re·a`,
+//! `c.im·swap(a)`, one `addsub` — then the same `add`; no FMA, whose
+//! single rounding would change the low bits. So the determinism
+//! contract (same amplitudes for any worker count, chunk layout or
+//! CPU) holds across paths; the `simd_*` tests pin it with
+//! `f64::to_bits` against the scalar loops.
 
 use crate::complex::C64;
 use crate::matrix::Matrix;
@@ -53,10 +63,31 @@ use crate::pool;
 /// outweighs the win.
 pub const PARALLEL_MIN_QUBITS: u32 = 18;
 
-/// Lane width of the blocked inner loops: 8 × `f64` per component
-/// matches one AVX-512 or two AVX2/NEON-pair registers, and a fixed
-/// trip count lets LLVM fully unroll and vectorize the block.
+/// Lane width of the blocked scalar loops: a fixed trip count of 8
+/// amplitudes lets LLVM fully unroll and vectorize the block.
 const LANES: usize = 8;
+
+/// Calls the AVX2 form of a kernel when this CPU has AVX2, the
+/// [`scalar`] loop otherwise.
+macro_rules! dispatch {
+    ($kernel:ident($($arg:expr),* $(,)?)) => {{
+        #[cfg(target_arch = "x86_64")]
+        if let Some(simd) = avx2::Avx2::detect() {
+            return simd.$kernel($($arg),*);
+        }
+        scalar::$kernel($($arg),*)
+    }};
+}
+
+/// The arithmetic path the kernels take on this CPU: `"avx2"` or
+/// `"scalar"`. Both give bit-identical amplitudes.
+pub(crate) fn path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::Avx2::detect().is_some() {
+        return "avx2";
+    }
+    "scalar"
+}
 
 /// Worker-thread policy for one kernel invocation.
 #[derive(Debug, Clone, Copy)]
@@ -250,41 +281,20 @@ pub(crate) fn apply_1q(amps: &mut [C64], th: Threading, tbit: usize, m: Mat2) {
 /// Single-qubit kernel over a chunk whose length is a multiple of
 /// `2 * tbit`.
 pub(crate) fn oneq_chunk(chunk: &mut [C64], tbit: usize, m: Mat2) {
-    for block in chunk.chunks_exact_mut(2 * tbit) {
-        let (lo, hi) = block.split_at_mut(tbit);
-        oneq_pair(lo, hi, m);
-    }
+    dispatch!(oneq_chunk(chunk, tbit, m))
 }
 
-/// The per-pair rotation — the one definition both the lane-blocked
-/// loop and the remainder use, so the two paths are bit-identical.
+/// The per-pair rotation — the one definition the lane-blocked loop
+/// and every remainder use, so all paths are bit-identical.
 #[inline(always)]
 fn rotate_pair(m: &Mat2, a0: C64, a1: C64) -> (C64, C64) {
     (m.m00 * a0 + m.m01 * a1, m.m10 * a0 + m.m11 * a1)
 }
 
 /// The innermost pair loop: `j`-th elements of `lo` and `hi` form the
-/// `(|…0…⟩, |…1…⟩)` amplitude pairs. Blocked into [`LANES`]-wide
-/// groups of independent rotations for the autovectorizer.
+/// `(|…0…⟩, |…1…⟩)` amplitude pairs.
 fn oneq_pair(lo: &mut [C64], hi: &mut [C64], m: Mat2) {
-    let mut lo_lanes = lo.chunks_exact_mut(LANES);
-    let mut hi_lanes = hi.chunks_exact_mut(LANES);
-    for (lc, hc) in (&mut lo_lanes).zip(&mut hi_lanes) {
-        for j in 0..LANES {
-            let (r0, r1) = rotate_pair(&m, lc[j], hc[j]);
-            lc[j] = r0;
-            hc[j] = r1;
-        }
-    }
-    for (a, b) in lo_lanes
-        .into_remainder()
-        .iter_mut()
-        .zip(hi_lanes.into_remainder())
-    {
-        let (r0, r1) = rotate_pair(&m, *a, *b);
-        *a = r0;
-        *b = r1;
-    }
+    dispatch!(oneq_pair(lo, hi, m))
 }
 
 /// Applies an antidiagonal single-qubit unitary (`m00 = m11 = 0`) on
@@ -307,10 +317,7 @@ pub(crate) fn apply_anti1(amps: &mut [C64], th: Threading, tbit: usize, a01: C64
 /// Antidiagonal kernel over a chunk whose length is a multiple of
 /// `2 * tbit`.
 pub(crate) fn anti1_chunk(chunk: &mut [C64], tbit: usize, a01: C64, a10: C64) {
-    for block in chunk.chunks_exact_mut(2 * tbit) {
-        let (lo, hi) = block.split_at_mut(tbit);
-        anti1_pair(lo, hi, a01, a10);
-    }
+    dispatch!(anti1_chunk(chunk, tbit, a01, a10))
 }
 
 /// Shared per-pair formula for the antidiagonal kernel.
@@ -320,24 +327,7 @@ fn cross_pair(a01: C64, a10: C64, a0: C64, a1: C64) -> (C64, C64) {
 }
 
 fn anti1_pair(lo: &mut [C64], hi: &mut [C64], a01: C64, a10: C64) {
-    let mut lo_lanes = lo.chunks_exact_mut(LANES);
-    let mut hi_lanes = hi.chunks_exact_mut(LANES);
-    for (lc, hc) in (&mut lo_lanes).zip(&mut hi_lanes) {
-        for j in 0..LANES {
-            let (r0, r1) = cross_pair(a01, a10, lc[j], hc[j]);
-            lc[j] = r0;
-            hc[j] = r1;
-        }
-    }
-    for (a, b) in lo_lanes
-        .into_remainder()
-        .iter_mut()
-        .zip(hi_lanes.into_remainder())
-    {
-        let (r0, r1) = cross_pair(a01, a10, *a, *b);
-        *a = r0;
-        *b = r1;
-    }
+    dispatch!(anti1_pair(lo, hi, a01, a10))
 }
 
 // ---------------------------------------------------------------------
@@ -444,35 +434,7 @@ pub(crate) fn apply_diag1(amps: &mut [C64], th: Threading, tbit: usize, d0: C64,
 }
 
 pub(crate) fn diag1_chunk(chunk: &mut [C64], offset: usize, tbit: usize, d0: C64, d1: C64) {
-    if tbit >= chunk.len() {
-        // The target bit is constant across this chunk.
-        let d = if offset & tbit != 0 { d1 } else { d0 };
-        scale_slice(chunk, d);
-        return;
-    }
-    for block in chunk.chunks_exact_mut(2 * tbit) {
-        let (lo, hi) = block.split_at_mut(tbit);
-        scale_slice(lo, d0);
-        scale_slice(hi, d1);
-    }
-}
-
-/// Multiplies every amplitude of `s` by `d`, lane-blocked; skips the
-/// pass entirely for an exact-unit factor (the `|0⟩` half of T-like
-/// phase gates).
-fn scale_slice(s: &mut [C64], d: C64) {
-    if d == C64::ONE {
-        return;
-    }
-    let mut lanes = s.chunks_exact_mut(LANES);
-    for lane in &mut lanes {
-        for a in lane.iter_mut() {
-            *a *= d;
-        }
-    }
-    for a in lanes.into_remainder() {
-        *a *= d;
-    }
+    dispatch!(diag1_chunk(chunk, offset, tbit, d0, d1))
 }
 
 /// Multiplies by `phase` every amplitude whose index has all
@@ -599,9 +561,412 @@ pub(crate) fn kq_chunk(chunk: &mut [C64], bits: &[usize], m: &Matrix) {
     });
 }
 
+// ---------------------------------------------------------------------
+// The two arithmetic paths of the pair and diagonal loops
+// ---------------------------------------------------------------------
+
+/// The portable loops: the path on CPUs without AVX2, and the
+/// reference the AVX2 path is pinned against bit for bit.
+mod scalar {
+    use super::{cross_pair, rotate_pair, Mat2, LANES};
+    use crate::complex::C64;
+
+    /// Single-qubit kernel over a chunk whose length is a multiple of
+    /// `2 * tbit`.
+    pub(super) fn oneq_chunk(chunk: &mut [C64], tbit: usize, m: Mat2) {
+        for block in chunk.chunks_exact_mut(2 * tbit) {
+            let (lo, hi) = block.split_at_mut(tbit);
+            oneq_pair(lo, hi, m);
+        }
+    }
+
+    /// The pair loop, blocked into [`LANES`]-wide groups of
+    /// independent rotations for the autovectorizer.
+    pub(super) fn oneq_pair(lo: &mut [C64], hi: &mut [C64], m: Mat2) {
+        let mut lo_lanes = lo.chunks_exact_mut(LANES);
+        let mut hi_lanes = hi.chunks_exact_mut(LANES);
+        for (lc, hc) in (&mut lo_lanes).zip(&mut hi_lanes) {
+            for j in 0..LANES {
+                let (r0, r1) = rotate_pair(&m, lc[j], hc[j]);
+                lc[j] = r0;
+                hc[j] = r1;
+            }
+        }
+        for (a, b) in lo_lanes
+            .into_remainder()
+            .iter_mut()
+            .zip(hi_lanes.into_remainder())
+        {
+            let (r0, r1) = rotate_pair(&m, *a, *b);
+            *a = r0;
+            *b = r1;
+        }
+    }
+
+    /// Antidiagonal kernel over a chunk whose length is a multiple of
+    /// `2 * tbit`.
+    pub(super) fn anti1_chunk(chunk: &mut [C64], tbit: usize, a01: C64, a10: C64) {
+        for block in chunk.chunks_exact_mut(2 * tbit) {
+            let (lo, hi) = block.split_at_mut(tbit);
+            anti1_pair(lo, hi, a01, a10);
+        }
+    }
+
+    /// The antidiagonal pair loop, lane-blocked like [`oneq_pair`].
+    pub(super) fn anti1_pair(lo: &mut [C64], hi: &mut [C64], a01: C64, a10: C64) {
+        let mut lo_lanes = lo.chunks_exact_mut(LANES);
+        let mut hi_lanes = hi.chunks_exact_mut(LANES);
+        for (lc, hc) in (&mut lo_lanes).zip(&mut hi_lanes) {
+            for j in 0..LANES {
+                let (r0, r1) = cross_pair(a01, a10, lc[j], hc[j]);
+                lc[j] = r0;
+                hc[j] = r1;
+            }
+        }
+        for (a, b) in lo_lanes
+            .into_remainder()
+            .iter_mut()
+            .zip(hi_lanes.into_remainder())
+        {
+            let (r0, r1) = cross_pair(a01, a10, *a, *b);
+            *a = r0;
+            *b = r1;
+        }
+    }
+
+    /// `diag(d0, d1)` on target bit `tbit` over a chunk whose global
+    /// base index is `offset`.
+    pub(super) fn diag1_chunk(chunk: &mut [C64], offset: usize, tbit: usize, d0: C64, d1: C64) {
+        if tbit >= chunk.len() {
+            // The target bit is constant across this chunk.
+            let d = if offset & tbit != 0 { d1 } else { d0 };
+            scale_slice(chunk, d);
+            return;
+        }
+        for block in chunk.chunks_exact_mut(2 * tbit) {
+            let (lo, hi) = block.split_at_mut(tbit);
+            scale_slice(lo, d0);
+            scale_slice(hi, d1);
+        }
+    }
+
+    /// Multiplies every amplitude of `s` by `d`, lane-blocked; skips the
+    /// pass entirely for an exact-unit factor (the `|0⟩` half of T-like
+    /// phase gates).
+    fn scale_slice(s: &mut [C64], d: C64) {
+        if d == C64::ONE {
+            return;
+        }
+        let mut lanes = s.chunks_exact_mut(LANES);
+        for lane in &mut lanes {
+            for a in lane.iter_mut() {
+                *a *= d;
+            }
+        }
+        for a in lanes.into_remainder() {
+            *a *= d;
+        }
+    }
+}
+
+/// The AVX2 loops. Each `__m256d` holds two interleaved `C64`s
+/// (`C64` is `repr(C)`), and each 128-bit lane computes one amplitude
+/// with the scalar formula's operations in the scalar order:
+/// [`Factor::mul`] is `C64`'s `Mul`, and the sums are plain `add`s.
+/// IEEE-754 `+` and `×` are commutative, so `c·a` here and `a·c` in
+/// [`scalar::scale_slice`] round alike. Odd tails run the shared
+/// per-pair formulas.
+#[cfg(target_arch = "x86_64")]
+// SAFETY: every `unsafe fn` here is a `#[target_feature(enable =
+// "avx2")]` function whose one requirement is a CPU with AVX2. The
+// only calls from outside the module are in the methods of `Avx2`, a
+// token that only `Avx2::detect` builds, after
+// `is_x86_feature_detected!("avx2")`. The unaligned loads and stores
+// touch exactly the two `C64`s of a borrowed `[C64; 2]`.
+#[allow(unsafe_code)]
+mod avx2 {
+    use super::{cross_pair, rotate_pair, Mat2};
+    use crate::complex::C64;
+    use std::arch::x86_64::*;
+
+    /// Proof that this CPU runs AVX2 — built only by [`Avx2::detect`],
+    /// so its safe methods may enter the `#[target_feature]` loops.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx2(());
+
+    impl Avx2 {
+        /// The token, or `None` when the CPU lacks AVX2 (the standard
+        /// library caches the CPUID probe).
+        #[inline]
+        pub(super) fn detect() -> Option<Avx2> {
+            is_x86_feature_detected!("avx2").then_some(Avx2(()))
+        }
+
+        pub(super) fn oneq_chunk(self, chunk: &mut [C64], tbit: usize, m: Mat2) {
+            // SAFETY: `self` proves AVX2 (see `detect`).
+            unsafe { oneq_chunk(chunk, tbit, m) }
+        }
+
+        pub(super) fn oneq_pair(self, lo: &mut [C64], hi: &mut [C64], m: Mat2) {
+            // SAFETY: `self` proves AVX2.
+            unsafe { rotate_slices(lo, hi, &splat_matrix(&m), &m) }
+        }
+
+        pub(super) fn anti1_chunk(self, chunk: &mut [C64], tbit: usize, a01: C64, a10: C64) {
+            // SAFETY: `self` proves AVX2.
+            unsafe { anti1_chunk(chunk, tbit, a01, a10) }
+        }
+
+        pub(super) fn anti1_pair(self, lo: &mut [C64], hi: &mut [C64], a01: C64, a10: C64) {
+            // SAFETY: `self` proves AVX2.
+            unsafe { anti1_pair(lo, hi, a01, a10) }
+        }
+
+        pub(super) fn diag1_chunk(
+            self,
+            chunk: &mut [C64],
+            offset: usize,
+            tbit: usize,
+            d0: C64,
+            d1: C64,
+        ) {
+            // SAFETY: `self` proves AVX2.
+            unsafe { diag1_chunk(chunk, offset, tbit, d0, d1) }
+        }
+    }
+
+    /// `s` as whole two-amplitude registers, plus the odd tail.
+    #[inline]
+    fn pairs(s: &mut [C64]) -> (impl Iterator<Item = &mut [C64; 2]>, &mut [C64]) {
+        let (even, tail) = s.split_at_mut(s.len() & !1);
+        let regs = even
+            .chunks_exact_mut(2)
+            .map(|c| <&mut [C64; 2]>::try_from(c).expect("chunks_exact_mut(2) yields pairs"));
+        (regs, tail)
+    }
+
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(pair: &[C64; 2]) -> __m256d {
+        // `[C64; 2]` is four contiguous `f64`s; `loadu` takes any
+        // alignment.
+        _mm256_loadu_pd(pair.as_ptr().cast())
+    }
+
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store(pair: &mut [C64; 2], v: __m256d) {
+        // As in `load`, through a unique borrow.
+        _mm256_storeu_pd(pair.as_mut_ptr().cast(), v)
+    }
+
+    /// A complex factor per 128-bit lane, held as its real part and its
+    /// imaginary part, each repeated across the lane.
+    #[derive(Clone, Copy)]
+    struct Factor {
+        re: __m256d,
+        im: __m256d,
+    }
+
+    impl Factor {
+        /// The same factor `c` in both lanes.
+        ///
+        /// # Safety
+        /// Requires AVX2.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn splat(c: C64) -> Factor {
+            Factor {
+                re: _mm256_set1_pd(c.re),
+                im: _mm256_set1_pd(c.im),
+            }
+        }
+
+        /// Factor `c0` in the low lane, `c1` in the high lane.
+        ///
+        /// # Safety
+        /// Requires AVX2.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn lanes(c0: C64, c1: C64) -> Factor {
+            Factor {
+                re: _mm256_setr_pd(c0.re, c0.re, c1.re, c1.re),
+                im: _mm256_setr_pd(c0.im, c0.im, c1.im, c1.im),
+            }
+        }
+
+        /// `c·a` per lane: `(c.re·a.re − c.im·a.im, c.re·a.im + c.im·a.re)`,
+        /// the operations of `C64`'s `Mul`.
+        ///
+        /// # Safety
+        /// Requires AVX2.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn mul(self, a: __m256d) -> __m256d {
+            let swapped = _mm256_permute_pd::<0b0101>(a);
+            _mm256_addsub_pd(_mm256_mul_pd(self.re, a), _mm256_mul_pd(self.im, swapped))
+        }
+    }
+
+    /// The four matrix entries as splatted factors, row-major.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn splat_matrix(m: &Mat2) -> [Factor; 4] {
+        [
+            Factor::splat(m.m00),
+            Factor::splat(m.m01),
+            Factor::splat(m.m10),
+            Factor::splat(m.m11),
+        ]
+    }
+
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn oneq_chunk(chunk: &mut [C64], tbit: usize, m: Mat2) {
+        if tbit == 1 {
+            // Target bit 0: one register is one (lo, hi) pair. Its
+            // columns (m00, m10) and (m01, m11) multiply lo and hi
+            // broadcast to both lanes.
+            let c0 = Factor::lanes(m.m00, m.m10);
+            let c1 = Factor::lanes(m.m01, m.m11);
+            for pair in pairs(chunk).0 {
+                let v = load(pair);
+                let lo = _mm256_permute2f128_pd::<0x00>(v, v);
+                let hi = _mm256_permute2f128_pd::<0x11>(v, v);
+                store(pair, _mm256_add_pd(c0.mul(lo), c1.mul(hi)));
+            }
+            return;
+        }
+        let f = splat_matrix(&m);
+        for block in chunk.chunks_exact_mut(2 * tbit) {
+            let (lo, hi) = block.split_at_mut(tbit);
+            rotate_slices(lo, hi, &f, &m);
+        }
+    }
+
+    /// Two stride pairs per iteration; an odd tail runs `rotate_pair`.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn rotate_slices(lo: &mut [C64], hi: &mut [C64], f: &[Factor; 4], m: &Mat2) {
+        let (lo_regs, lo_tail) = pairs(lo);
+        let (hi_regs, hi_tail) = pairs(hi);
+        for (l, h) in lo_regs.zip(hi_regs) {
+            let (a0, a1) = (load(l), load(h));
+            store(l, _mm256_add_pd(f[0].mul(a0), f[1].mul(a1)));
+            store(h, _mm256_add_pd(f[2].mul(a0), f[3].mul(a1)));
+        }
+        for (a, b) in lo_tail.iter_mut().zip(hi_tail) {
+            (*a, *b) = rotate_pair(m, *a, *b);
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn anti1_chunk(chunk: &mut [C64], tbit: usize, a01: C64, a10: C64) {
+        if tbit == 1 {
+            // Target bit 0: swap the register's halves to (hi, lo), then
+            // one multiply by (a01, a10).
+            let f = Factor::lanes(a01, a10);
+            for pair in pairs(chunk).0 {
+                let v = load(pair);
+                store(pair, f.mul(_mm256_permute2f128_pd::<0x01>(v, v)));
+            }
+            return;
+        }
+        for block in chunk.chunks_exact_mut(2 * tbit) {
+            let (lo, hi) = block.split_at_mut(tbit);
+            anti1_pair(lo, hi, a01, a10);
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn anti1_pair(lo: &mut [C64], hi: &mut [C64], a01: C64, a10: C64) {
+        let (f01, f10) = (Factor::splat(a01), Factor::splat(a10));
+        let (lo_regs, lo_tail) = pairs(lo);
+        let (hi_regs, hi_tail) = pairs(hi);
+        for (l, h) in lo_regs.zip(hi_regs) {
+            let (a0, a1) = (load(l), load(h));
+            store(l, f01.mul(a1));
+            store(h, f10.mul(a0));
+        }
+        for (a, b) in lo_tail.iter_mut().zip(hi_tail) {
+            (*a, *b) = cross_pair(a01, a10, *a, *b);
+        }
+    }
+
+    /// As [`super::scalar::diag1_chunk`]; a half multiplied by an
+    /// exact `1` is left untouched there (`x·1` can flip a zero's
+    /// sign), so it is here too.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn diag1_chunk(chunk: &mut [C64], offset: usize, tbit: usize, d0: C64, d1: C64) {
+        if tbit >= chunk.len() {
+            let d = if offset & tbit != 0 { d1 } else { d0 };
+            scale_slice(chunk, d);
+            return;
+        }
+        if tbit == 1 {
+            // Target bit 0: one register is one (d0, d1) pair; lanes
+            // with a unit factor keep their input.
+            let (unit0, unit1) = (d0 == C64::ONE, d1 == C64::ONE);
+            if unit0 && unit1 {
+                return;
+            }
+            let f = Factor::lanes(d0, d1);
+            let (k0, k1) = (-i64::from(unit0), -i64::from(unit1));
+            let keep = _mm256_castsi256_pd(_mm256_setr_epi64x(k0, k0, k1, k1));
+            for pair in pairs(chunk).0 {
+                let v = load(pair);
+                store(pair, _mm256_blendv_pd(f.mul(v), v, keep));
+            }
+            return;
+        }
+        for block in chunk.chunks_exact_mut(2 * tbit) {
+            let (lo, hi) = block.split_at_mut(tbit);
+            scale_slice(lo, d0);
+            scale_slice(hi, d1);
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn scale_slice(s: &mut [C64], d: C64) {
+        if d == C64::ONE {
+            return;
+        }
+        let f = Factor::splat(d);
+        let (regs, tail) = pairs(s);
+        for pair in regs {
+            let v = load(pair);
+            store(pair, f.mul(v));
+        }
+        for a in tail {
+            *a *= d;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Executor, KernelOp};
     use crate::matrix::gate_matrix;
     use crate::statevector::reference;
     use crate::statevector::{Blocking, ExecConfig, Statevector};
@@ -1018,5 +1383,197 @@ mod tests {
         assert!((p_top_only - 0.5).abs() < 1e-9, "p(top)={p_top_only}");
         assert!((p_low_only - 0.5).abs() < 1e-9, "p(low)={p_low_only}");
         assert!((sv.norm() - 1.0).abs() < 1e-9);
+    }
+
+    // -----------------------------------------------------------------
+    // AVX2 = scalar, bit for bit
+    // -----------------------------------------------------------------
+
+    /// Register widths of the bit-identity sweep: every tiny width
+    /// (single pairs, 2-amplitude halves, top-bit slabs) and a
+    /// cache-resident 12-qubit state.
+    const SIMD_WIDTHS: [u32; 7] = [1, 2, 3, 4, 5, 6, 12];
+
+    fn random_c64(rng: &mut StdRng) -> C64 {
+        C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+    }
+
+    /// Random amplitudes with signed zeros sprinkled in, so a kernel
+    /// that multiplies by an exact `1` the scalar loop skips shows up.
+    fn random_amps(rng: &mut StdRng, len: usize) -> Vec<C64> {
+        (0..len)
+            .map(|i| match i % 7 {
+                3 => C64::new(-0.0, rng.gen_range(-1.0..1.0)),
+                5 => C64::new(rng.gen_range(-1.0..1.0), -0.0),
+                _ => random_c64(rng),
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[C64], scalar: &[C64], context: &str) {
+        assert_eq!(got.len(), scalar.len(), "{context}: length");
+        for (i, (x, y)) in got.iter().zip(scalar).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{context}: amplitude {i} is {x:?}, the scalar loop gives {y:?}"
+            );
+        }
+    }
+
+    /// A kernel with an AVX2 form and its random payload.
+    #[derive(Debug, Clone, Copy)]
+    enum WideKernel {
+        Mat1(Mat2),
+        Anti1(C64, C64),
+        Diag1(C64, C64),
+    }
+
+    impl WideKernel {
+        /// One of each, plus the unit-factor cases of `Diag1`.
+        fn draw(rng: &mut StdRng) -> Vec<WideKernel> {
+            let mut c = || random_c64(rng);
+            vec![
+                WideKernel::Mat1(Mat2 {
+                    m00: c(),
+                    m01: c(),
+                    m10: c(),
+                    m11: c(),
+                }),
+                WideKernel::Anti1(c(), c()),
+                WideKernel::Diag1(c(), c()),
+                WideKernel::Diag1(C64::ONE, c()),
+                WideKernel::Diag1(c(), C64::ONE),
+                WideKernel::Diag1(C64::ONE, C64::ONE),
+            ]
+        }
+
+        fn op(self, tbit: usize) -> KernelOp {
+            match self {
+                WideKernel::Mat1(m) => KernelOp::Mat1 { tbit, m },
+                WideKernel::Anti1(a01, a10) => KernelOp::Anti1 { tbit, a01, a10 },
+                WideKernel::Diag1(d0, d1) => KernelOp::Diag1 { tbit, d0, d1 },
+            }
+        }
+
+        /// The scalar loop, called directly: the reference.
+        fn scalar(self, amps: &mut [C64], offset: usize, tbit: usize) {
+            match self {
+                WideKernel::Mat1(m) => scalar::oneq_chunk(amps, tbit, m),
+                WideKernel::Anti1(a01, a10) => scalar::anti1_chunk(amps, tbit, a01, a10),
+                WideKernel::Diag1(d0, d1) => scalar::diag1_chunk(amps, offset, tbit, d0, d1),
+            }
+        }
+
+        /// The dispatching chunk kernel (AVX2 where the CPU has it).
+        fn chunk(self, amps: &mut [C64], offset: usize, tbit: usize) {
+            match self {
+                WideKernel::Mat1(m) => oneq_chunk(amps, tbit, m),
+                WideKernel::Anti1(a01, a10) => anti1_chunk(amps, tbit, a01, a10),
+                WideKernel::Diag1(d0, d1) => diag1_chunk(amps, offset, tbit, d0, d1),
+            }
+        }
+
+        /// Forced threading: pair slabs for the paired
+        /// kernels (every target bit, sub-chunks down to one
+        /// amplitude), offset-aware chunks for the diagonal one.
+        fn threaded(self, amps: &mut [C64], tbit: usize) {
+            match self {
+                WideKernel::Mat1(m) => {
+                    run_pair_slabs(amps, tbit, forced(), &|_, lo, hi| oneq_pair(lo, hi, m))
+                }
+                WideKernel::Anti1(a01, a10) => {
+                    run_pair_slabs(amps, tbit, forced(), &|_, lo, hi| {
+                        anti1_pair(lo, hi, a01, a10)
+                    })
+                }
+                WideKernel::Diag1(d0, d1) => apply_diag1(amps, forced(), tbit, d0, d1),
+            }
+        }
+    }
+
+    #[test]
+    fn simd_path_is_reported_from_the_cpu() {
+        #[cfg(target_arch = "x86_64")]
+        let expected = if is_x86_feature_detected!("avx2") {
+            "avx2"
+        } else {
+            "scalar"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let expected = "scalar";
+        assert_eq!(path(), expected);
+        assert_eq!(crate::statevector::kernel_path(), expected);
+    }
+
+    #[test]
+    fn simd_kernels_match_scalar_bit_for_bit_in_every_sweep() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_A7C2);
+        for n in SIMD_WIDTHS {
+            let len = 1usize << n;
+            for t in 0..n {
+                let tbit = 1usize << t;
+                for kernel in WideKernel::draw(&mut rng) {
+                    let input = random_amps(&mut rng, len);
+                    let context = format!("n={n} t={t} {kernel:?}");
+                    let mut once = input.clone();
+                    kernel.scalar(&mut once, 0, tbit);
+
+                    let mut chunk = input.clone();
+                    kernel.chunk(&mut chunk, 0, tbit);
+                    assert_bits_eq(&chunk, &once, &format!("{context}: chunk kernel"));
+
+                    let mut threaded = input.clone();
+                    kernel.threaded(&mut threaded, tbit);
+                    assert_bits_eq(&threaded, &once, &format!("{context}: threaded"));
+
+                    // Two pushes make a layer, swept block by block.
+                    let mut twice = once.clone();
+                    kernel.scalar(&mut twice, 0, tbit);
+                    let mut layered = input.clone();
+                    let mut ex = Executor::new(&mut layered, forced(), true);
+                    ex.push(kernel.op(tbit));
+                    ex.push(kernel.op(tbit));
+                    ex.finish();
+                    assert_bits_eq(&layered, &twice, &format!("{context}: layered executor"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_odd_length_slices_take_the_scalar_tail() {
+        // Pair slabs are powers of two; odd lengths reach the tail of
+        // every two-amplitude loop directly.
+        let mut rng = StdRng::seed_from_u64(0x0DD5);
+        for len in [1usize, 3, 5, 7, 9, 15] {
+            for kernel in WideKernel::draw(&mut rng) {
+                let context = format!("len={len} {kernel:?}");
+                let lo = random_amps(&mut rng, len);
+                let hi = random_amps(&mut rng, len);
+                let (mut lo_w, mut hi_w) = (lo.clone(), hi.clone());
+                let (mut lo_s, mut hi_s) = (lo.clone(), hi.clone());
+                match kernel {
+                    WideKernel::Mat1(m) => {
+                        oneq_pair(&mut lo_w, &mut hi_w, m);
+                        scalar::oneq_pair(&mut lo_s, &mut hi_s, m);
+                    }
+                    WideKernel::Anti1(a01, a10) => {
+                        anti1_pair(&mut lo_w, &mut hi_w, a01, a10);
+                        scalar::anti1_pair(&mut lo_s, &mut hi_s, a01, a10);
+                    }
+                    // A target bit above the slice scales all of it by
+                    // the factor its offset selects.
+                    WideKernel::Diag1(..) => {
+                        let high = 1usize << 8;
+                        kernel.chunk(&mut lo_w, 0, high);
+                        kernel.scalar(&mut lo_s, 0, high);
+                        kernel.chunk(&mut hi_w, high, high);
+                        kernel.scalar(&mut hi_s, high, high);
+                    }
+                }
+                assert_bits_eq(&lo_w, &lo_s, &format!("{context}: lo"));
+                assert_bits_eq(&hi_w, &hi_s, &format!("{context}: hi"));
+            }
+        }
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! * [`Statevector`] — dense pure-state simulation up to
 //!   [`statevector::MAX_QUBITS`] qubits on a layered kernel engine:
-//!   branch-free stride loops, diagonal/antidiagonal/permutation fast
-//!   paths, cost-model-gated single-qubit gate fusion, layer-blocked
+//!   branch-free stride loops (AVX2 where the CPU has it, with
+//!   bit-identical scalar fallbacks), diagonal/antidiagonal/permutation
+//!   fast paths, cost-model-gated single-qubit gate fusion, layer-blocked
 //!   cache sweeps, and persistent-pool multi-threaded application for
 //!   wide registers (see `docs/qsim.md` in the repository for the
 //!   engine internals and the determinism contract).
@@ -42,10 +43,14 @@
 //! # Ok::<(), qsim::SimError>(())
 //! ```
 
-// `deny`, not `forbid`: the persistent worker pool in `pool` needs one
-// documented lifetime-erasure `unsafe` block (see `pool.rs` for the
-// safety argument); everything else in the crate stays unsafe-free and
-// any new `unsafe` outside that allow is a hard error.
+// `deny`, not `forbid`: two modules carry a documented
+// `#[allow(unsafe_code)]`. The persistent worker pool in `pool` needs
+// one lifetime-erasure `unsafe` block (see `pool.rs` for the safety
+// argument); the AVX2 kernels in `kernels::avx2` need `unsafe` to call
+// `#[target_feature]` functions behind a run-time CPU check and for
+// their unaligned loads and stores (see the SAFETY note there).
+// Everything else in the crate stays unsafe-free and any new `unsafe`
+// outside those allows is a hard error.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -72,4 +77,4 @@ pub use density::DensityMatrix;
 pub use device::Device;
 pub use error::SimError;
 pub use sampler::{Counts, Sampler};
-pub use statevector::{resolved_workers, Blocking, ExecConfig, Statevector};
+pub use statevector::{kernel_path, resolved_workers, Blocking, ExecConfig, Statevector};

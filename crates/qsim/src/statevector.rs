@@ -99,6 +99,21 @@ pub fn resolved_workers() -> usize {
     crate::pool::default_workers()
 }
 
+/// The arithmetic path the kernels take on this CPU: `"avx2"` when it
+/// reports AVX2 at run time, `"scalar"` otherwise. Both paths give
+/// bit-identical amplitudes; this is a machine fact for benchmark
+/// records, not a setting.
+///
+/// # Example
+///
+/// ```
+/// let path = qsim::statevector::kernel_path();
+/// assert!(path == "avx2" || path == "scalar");
+/// ```
+pub fn kernel_path() -> &'static str {
+    crate::kernels::path()
+}
+
 /// Execution configuration for the kernel engine.
 ///
 /// The defaults (gate fusion on, auto thread count) are what

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use qcir::persist::{self, PersistError, FORMAT_VERSION};
 use qcir::{Circuit, Gate};
+use serde::codec::DecodeError;
 use tetrislock::job::{JobConfig, JobState};
 
 /// Encode → decode → encode must reproduce the same bytes.
@@ -189,6 +190,51 @@ fn bumped_version_is_refused_with_typed_error() {
             assert_eq!(supported, FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Decoded instructions go through `Instruction::new`.
+// ---------------------------------------------------------------------
+
+/// Rewrites every copy of `from`'s bits in an envelope's payload to
+/// `to`'s and reseals the checksum: a well-formed file whose content the
+/// constructors would refuse.
+fn reseal_with_angle(envelope: &[u8], from: f64, to: f64) -> Vec<u8> {
+    const HEADER: usize = 16;
+    let mut body = envelope[..envelope.len() - 8].to_vec();
+    let (needle, patch) = (from.to_le_bytes(), to.to_le_bytes());
+    let mut hits = 0;
+    for i in HEADER..=body.len() - 8 {
+        if body[i..i + 8] == needle {
+            body[i..i + 8].copy_from_slice(&patch);
+            hits += 1;
+        }
+    }
+    assert!(hits > 0, "marker angle not found in the payload");
+    let checksum = persist::fnv1a64(&body);
+    body.extend_from_slice(&checksum.to_le_bytes());
+    body
+}
+
+#[test]
+fn checkpoint_with_a_nan_angle_is_a_typed_error() {
+    const MARKER: f64 = 0.8125;
+    let mut circuit = Circuit::with_name(3, "nan_angle");
+    circuit.h(0).rz(MARKER, 1).cx(1, 2);
+    let envelope = persist::to_envelope(&JobState::new("nan", circuit, JobConfig::default()));
+    persist::from_envelope::<JobState>(&envelope).expect("the unpatched checkpoint decodes");
+
+    let poisoned = reseal_with_angle(&envelope, MARKER, f64::NAN);
+    match persist::from_envelope::<JobState>(&poisoned) {
+        Err(PersistError::Decode(DecodeError::Invalid { type_name, reason })) => {
+            assert_eq!(type_name, "Instruction");
+            assert!(
+                reason.contains("rz") && reason.contains("non-finite"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected a typed Invalid decode error, got {other:?}"),
     }
 }
 
